@@ -28,6 +28,7 @@ from lapbounds.eig import Spectrum, eigenvalues_symmetric, kth_eigenvalue
 from lapbounds.trace_bounds import (
     TraceStats,
     BoundValue,
+    graph_stats,
     trace_stats_psd,
     ws_extreme_intervals,
     ws_kth_interval,
@@ -73,6 +74,7 @@ __all__ = [
     "kth_eigenvalue",
     "TraceStats",
     "BoundValue",
+    "graph_stats",
     "trace_stats_psd",
     "ws_extreme_intervals",
     "ws_kth_interval",

@@ -18,10 +18,16 @@ _MAX_SWEEPS = 100
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues sorted non-increasing: values[0] = lambda_1."""
+    """Eigenvalues sorted non-increasing: values[0] = lambda_1.
+
+    sweeps and off_norm are the Jacobi solve's sweep count and final
+    off-diagonal Frobenius norm (0 for a 1 x 1 matrix or given values).
+    """
 
     values: tuple[float, ...]
     origin: str = "matrix"
+    sweeps: int = 0
+    off_norm: float = 0.0
 
     @property
     def n(self) -> int:
@@ -55,7 +61,9 @@ def eigenvalues_symmetric(m: np.ndarray, origin: str = "matrix") -> Spectrum:
             f"Jacobi did not converge in {_MAX_SWEEPS} sweeps; residual {off:.3e} > {tol:.3e}"
         )
     vals = np.sort(np.diag(work))[::-1]
-    return Spectrum(values=tuple(float(v) for v in vals), origin=origin)
+    return Spectrum(
+        values=tuple(float(v) for v in vals), origin=origin, sweeps=sweeps, off_norm=off
+    )
 
 
 def kth_eigenvalue(s: Spectrum, k: int) -> float:

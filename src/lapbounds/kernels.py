@@ -1,29 +1,25 @@
 """Row-cyclic Jacobi sweep kernel.
 
-One source function, compiled two ways: numba @njit when available, and the
-plain interpreted version as fallback. Set LAPBOUNDS_DISABLE_NUMBA=1 to force
-the numpy/Python path (the two produce bit-identical results since they run
-the same code). benchmarks/jacobi_bench.py compares the two.
+Each rotation updates whole columns p and q (and, by symmetry, rows p and
+q) with numpy vector operations. Every element goes through the same IEEE
+operations in the same order as the per-element scalar loop it replaces, so
+the spectra are bit-identical to it on every machine.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
-
-_DISABLED = os.environ.get("LAPBOUNDS_DISABLE_NUMBA", "") == "1"
+# perfbench records whether numba is importable; the kernel does not use it
+HAS_NUMBA = importlib.util.find_spec("numba") is not None
 
 
 def _off_norm(a: np.ndarray, n: int) -> float:
+    # a sequential sum: a pairwise np.sum could round differently and move
+    # the convergence test by a sweep
     acc = 0.0
     for i in range(n - 1):
         for j in range(i + 1, n):
@@ -31,7 +27,7 @@ def _off_norm(a: np.ndarray, n: int) -> float:
     return math.sqrt(2.0 * acc)
 
 
-def _jacobi_sweeps(a: np.ndarray, tol: float, max_sweeps: int):
+def jacobi_sweeps(a: np.ndarray, tol: float, max_sweeps: int):
     """Diagonalize symmetric a in place by row-cyclic Jacobi rotations.
 
     Returns (sweeps_used, final_off_norm). Convergence: off-diagonal
@@ -40,19 +36,19 @@ def _jacobi_sweeps(a: np.ndarray, tol: float, max_sweeps: int):
     """
     n = a.shape[0]
     for sweep in range(max_sweeps):
-        off = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                off += a[i, j] * a[i, j]
-        off = math.sqrt(2.0 * off)
+        off = _off_norm(a, n)
         if off <= tol:
             return sweep, off
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p, q]
+                # Python floats: the same IEEE doubles as numpy scalars, but
+                # theta * theta overflows to inf without a RuntimeWarning
+                apq = a.item(p, q)
                 if apq == 0.0:
                     continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                app = a.item(p, p)
+                aqq = a.item(q, q)
+                theta = (aqq - app) / (2.0 * apq)
                 if theta >= 0.0:
                     t = 1.0 / (theta + math.sqrt(theta * theta + 1.0))
                 else:
@@ -60,33 +56,17 @@ def _jacobi_sweeps(a: np.ndarray, tol: float, max_sweeps: int):
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
                 tau = s / (1.0 + c)
-                app = a[p, p]
-                aqq = a[q, q]
+                # both new columns are formed before either is written back
+                cp = a[:, p]
+                cq = a[:, q]
+                new_p = cp - s * (cq + tau * cp)
+                new_q = cq + s * (cp - tau * cq)
+                a[:, p] = new_p
+                a[:, q] = new_q
+                a[p, :] = new_p
+                a[q, :] = new_q
                 a[p, p] = app - t * apq
                 a[q, q] = aqq + t * apq
                 a[p, q] = 0.0
                 a[q, p] = 0.0
-                for i in range(n):
-                    if i != p and i != q:
-                        aip = a[i, p]
-                        aiq = a[i, q]
-                        a[i, p] = aip - s * (aiq + tau * aip)
-                        a[i, q] = aiq + s * (aip - tau * aiq)
-                        a[p, i] = a[i, p]
-                        a[q, i] = a[i, q]
-    off = 0.0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            off += a[i, j] * a[i, j]
-    return max_sweeps, math.sqrt(2.0 * off)
-
-
-if HAS_NUMBA:
-    _jacobi_sweeps_jit = njit(cache=True)(_jacobi_sweeps)
-
-
-def jacobi_sweeps(a: np.ndarray, tol: float, max_sweeps: int):
-    """Dispatch to the jit kernel unless numba is absent or disabled."""
-    if HAS_NUMBA and not _DISABLED:
-        return _jacobi_sweeps_jit(a, tol, max_sweeps)
-    return _jacobi_sweeps(a, tol, max_sweeps)
+    return max_sweeps, _off_norm(a, n)

@@ -24,6 +24,7 @@ from lapbounds.graph import Graph, degree_summary, is_connected
 from lapbounds.matrices import normalized_laplacian, signless_laplacian
 from lapbounds.trace_bounds import (
     BoundValue,
+    graph_stats,
     kth_graph_bounds,
     normalized_bounds,
     signless_bounds,
@@ -91,26 +92,26 @@ def build_report(
         matrix = normalized_laplacian(g) if kind == "normalized" else signless_laplacian(g)
         spectrum = eigenvalues_symmetric(matrix, origin=kind)
         spectra[kind] = spectrum
+        stats = graph_stats(g, kind)
 
         bounds: list[BoundValue] = []
         if kind == "normalized":
-            bounds.extend(normalized_bounds(g, "as_printed"))
+            bounds.extend(normalized_bounds(g, "as_printed", stats=stats))
             # sharp E5 only (E6/E7 do not vary with the variant)
-            bounds.append(normalized_bounds(g, "sharp")[0])
+            bounds.append(normalized_bounds(g, "sharp", stats=stats)[0])
             bounds.append(rojo_soto(g))
         else:
-            bounds.extend(signless_bounds(g, "as_printed"))
-            bounds.append(signless_bounds(g, "sharp")[0])
+            bounds.extend(signless_bounds(g, "as_printed", stats=stats))
+            bounds.append(signless_bounds(g, "sharp", stats=stats)[0])
             with _warnings.catch_warnings(record=True) as caught:
                 _warnings.simplefilter("always")
                 bounds.append(oliveira_quadratic(g))
                 bounds.append(oliveira_sqrt(g))
             warn.extend(str(w.message) for w in caught)
             bounds.append(li_liu(g))
-            if E3_CORRECTION_NOTE not in warn:
-                warn.append(E3_CORRECTION_NOTE)
+            warn.append(E3_CORRECTION_NOTE)
         for k in k_list or []:
-            bounds.extend(kth_graph_bounds(g, kind, k))
+            bounds.extend(kth_graph_bounds(g, kind, k, stats=stats))
 
         for b in bounds:
             oracle = _target_value(b, spectrum)
@@ -123,7 +124,8 @@ def build_report(
         min_degree=summary.min_degree,
         spectra=spectra,
         rows=rows,
-        warnings=warn,
+        # E1 and E2 each warn about the same isolated vertex; say it once
+        warnings=list(dict.fromkeys(warn)),
     )
 
 

@@ -126,7 +126,12 @@ def _sqrt_clamped(x: float) -> float:
     return math.sqrt(max(x, 0.0))
 
 
-def _graph_stats(g: Graph, matrix_kind: str) -> TraceStats:
+def graph_stats(g: Graph, matrix_kind: str) -> TraceStats:
+    """Trace statistics of the chosen matrix of g, from its closed-form traces.
+
+    Every trace bound of one (graph, matrix) derives from these statistics:
+    compute them once and pass them to the bound functions as ``stats``.
+    """
     if matrix_kind == "normalized":
         t2, t4 = tr2_normalized_closed(g), tr4_normalized_closed(g)
     elif matrix_kind == "signless":
@@ -136,10 +141,12 @@ def _graph_stats(g: Graph, matrix_kind: str) -> TraceStats:
     return trace_stats_psd(t2, t4, g.n)
 
 
-def _extreme_bounds(g: Graph, matrix_kind: str, variant: str) -> list[BoundValue]:
+def _extreme_bounds(
+    g: Graph, matrix_kind: str, variant: str, stats: TraceStats | None
+) -> list[BoundValue]:
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    st = _graph_stats(g, matrix_kind)
+    st = graph_stats(g, matrix_kind) if stats is None else stats
     root = math.sqrt(st.n - 1)
     lam1_lo = _sqrt_clamped(st.m + st.s / root)
     lam1_hi = _sqrt_clamped(st.m + st.s * root)
@@ -158,19 +165,34 @@ def _extreme_bounds(g: Graph, matrix_kind: str, variant: str) -> list[BoundValue
     ]
 
 
-def normalized_bounds(g: Graph, variant: str = "as_printed") -> list[BoundValue]:
-    """E5 (upper on lambda_n), E6 (lower on lambda_1), E7 (upper on lambda_1)."""
-    return _extreme_bounds(g, "normalized", variant)
+def normalized_bounds(
+    g: Graph, variant: str = "as_printed", stats: TraceStats | None = None
+) -> list[BoundValue]:
+    """E5 (upper on lambda_n), E6 (lower on lambda_1), E7 (upper on lambda_1).
+
+    ``stats`` is ``graph_stats(g, "normalized")``, computed here if omitted.
+    """
+    return _extreme_bounds(g, "normalized", variant, stats)
 
 
-def signless_bounds(g: Graph, variant: str = "as_printed") -> list[BoundValue]:
-    """E8 (upper on lambda_n), E9 (lower on lambda_1), E10 (upper on lambda_1)."""
-    return _extreme_bounds(g, "signless", variant)
+def signless_bounds(
+    g: Graph, variant: str = "as_printed", stats: TraceStats | None = None
+) -> list[BoundValue]:
+    """E8 (upper on lambda_n), E9 (lower on lambda_1), E10 (upper on lambda_1).
+
+    ``stats`` is ``graph_stats(g, "signless")``, computed here if omitted.
+    """
+    return _extreme_bounds(g, "signless", variant, stats)
 
 
-def kth_graph_bounds(g: Graph, matrix_kind: str, k: int) -> tuple[BoundValue, BoundValue]:
-    """(lower, upper) bounds on lambda_k of the chosen matrix."""
-    st = _graph_stats(g, matrix_kind)
+def kth_graph_bounds(
+    g: Graph, matrix_kind: str, k: int, stats: TraceStats | None = None
+) -> tuple[BoundValue, BoundValue]:
+    """(lower, upper) bounds on lambda_k of the chosen matrix.
+
+    ``stats`` is ``graph_stats(g, matrix_kind)``, computed here if omitted.
+    """
+    st = graph_stats(g, matrix_kind) if stats is None else stats
     lo, hi = ws_kth_interval(st, k)
     return (
         BoundValue("WS-K", "lower", "lambda_k", matrix_kind, _sqrt_clamped(lo), k=k),

@@ -30,6 +30,7 @@ from lapbounds.matrices import (
     tr4_signless_closed,
 )
 from lapbounds.trace_bounds import (
+    graph_stats,
     kth_graph_bounds,
     normalized_bounds,
     signless_bounds,
@@ -174,8 +175,9 @@ class VerificationSuite:
 
         for kind, build in (("normalized", normalized_bounds), ("signless", signless_bounds)):
             s = spectra[kind]
-            printed = build(g, "as_printed")
-            sharp = build(g, "sharp")
+            stats = graph_stats(g, kind)
+            printed = build(g, "as_printed", stats=stats)
+            sharp = build(g, "sharp", stats=stats)
             lamn_printed, lower, upper = printed
             lamn_sharp = sharp[0]
             validity.record(s.largest - lower.value)
@@ -184,7 +186,7 @@ class VerificationSuite:
             validity.record(lamn_sharp.value - s.smallest)
             dominance.record(lamn_printed.value - lamn_sharp.value)
             for k in range(1, g.n + 1):
-                lo, hi = kth_graph_bounds(g, kind, k)
+                lo, hi = kth_graph_bounds(g, kind, k, stats=stats)
                 lam_k = s.values[k - 1]
                 kth.record(lam_k - lo.value)
                 kth.record(hi.value - lam_k)

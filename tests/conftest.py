@@ -2,18 +2,10 @@ from pathlib import Path
 
 import pytest
 
-from lapbounds import eigenvalues_symmetric, parse_edge_list
+from lapbounds import parse_edge_list
 from lapbounds.graph import from_edges
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_jacobi():
-    # pay the jit compile once, before anything that is timed
-    import numpy as np
-
-    eigenvalues_symmetric(np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
 @pytest.fixture(scope="session")

@@ -76,6 +76,14 @@ class TestReport:
         assert code == 1
         assert "vertex 3" in err
 
+    def test_isolated_vertex_signless_warns_once(self, tmp_path, capsys):
+        # E1 and E2 both skip the isolated vertex; the report says so once
+        p = tmp_path / "iso.txt"
+        p.write_text("n=5\n1 2\n2 3\n1 3\n3 4\n")
+        code, out, _ = run(capsys, "report", "--graph", str(p), "--matrix", "signless")
+        assert code == 0
+        assert out.count("warning: vertex 5 has degree 0; skipped") == 1
+
     def test_parse_error_exit_1(self, tmp_path, capsys):
         p = tmp_path / "bad.txt"
         p.write_text("1 1\n")

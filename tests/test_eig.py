@@ -66,6 +66,14 @@ def test_spectrum_matches_library_eigensolver(seed):
         assert np.allclose(ours.values, ref, atol=1e-9)
 
 
+def test_spectrum_records_solver_diagnostics():
+    m = signless_laplacian(generate_connected_gnp(16, 0.5, 16))
+    tol = 1e-12 * (1.0 + float(np.sqrt(np.sum(m * m))))
+    s = eigenvalues_symmetric(m)
+    assert s.sweeps > 0
+    assert 0.0 <= s.off_norm <= tol
+
+
 @pytest.mark.parametrize("seed", range(400, 420))
 def test_moments_and_ranges(seed):
     g = generate_connected_gnp(4 + seed % 9, 0.5, seed)

@@ -6,6 +6,7 @@ from lapbounds import (
     InconsistentTracesError,
     eigenvalues_symmetric,
     generate_connected_gnp,
+    graph_stats,
     kth_graph_bounds,
     normalized_bounds,
     normalized_laplacian,
@@ -183,6 +184,21 @@ class TestKthGraphBounds:
             lo, hi = kth_graph_bounds(g, "normalized", k)
             assert lo.value - 1e-9 <= s.values[k - 1] <= hi.value + 1e-9
         assert kth_graph_bounds(g, "normalized", g.n - 1)[0].value == 0.0
+
+    @pytest.mark.parametrize("seed", range(540, 546))
+    def test_given_stats_match_recomputed(self, seed):
+        # stats computed once and passed in give the same bounds, bit for bit
+        g = generate_connected_gnp(4 + seed % 9, 0.5, seed)
+        for kind, build in (("normalized", normalized_bounds), ("signless", signless_bounds)):
+            st = graph_stats(g, kind)
+            for variant in ("as_printed", "sharp"):
+                assert build(g, variant, stats=st) == build(g, variant)
+            for k in range(1, g.n + 1):
+                assert kth_graph_bounds(g, kind, k, stats=st) == kth_graph_bounds(g, kind, k)
+
+    def test_graph_stats_rejects_unknown_kind(self, example2):
+        with pytest.raises(ValueError):
+            graph_stats(example2, "adjacency")
 
     def test_k1_matches_extreme_bounds(self, example2):
         lo, hi = kth_graph_bounds(example2, "signless", 1)
