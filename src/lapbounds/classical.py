@@ -12,8 +12,11 @@ from __future__ import annotations
 import math
 import warnings
 
+import numpy as np
+
 from lapbounds.errors import IsolatedVertexError
-from lapbounds.graph import Graph, common_neighbors, degree_summary
+from lapbounds.graph import Graph, degree_summary
+from lapbounds.matrices import pair_entries
 from lapbounds.trace_bounds import BoundValue
 
 E3_CORRECTION_NOTE = (
@@ -78,10 +81,10 @@ def rojo_soto(g: Graph) -> BoundValue:
     for v, d in enumerate(g.degrees, start=1):
         if d == 0:
             raise IsolatedVertexError(f"vertex {v} is isolated; bound undefined")
-    best = None
-    for i in range(1, g.n + 1):
-        for j in range(i + 1, g.n + 1):
-            ratio = common_neighbors(g, i, j) / max(g.degrees[i - 1], g.degrees[j - 1])
-            if best is None or ratio < best:
-                best = ratio
+    p = pair_entries(g)
+    if len(p.common) < g.n * (g.n - 1) // 2:
+        # some pair shares no neighbour: its ratio 0 is the minimum
+        return BoundValue("E4", "upper", "lambda_1", "normalized", 2.0)
+    d = np.array(g.degrees, dtype=np.int64)
+    best = float(np.min(p.common / np.maximum(d[p.i], d[p.j])))
     return BoundValue("E4", "upper", "lambda_1", "normalized", 2.0 - best)

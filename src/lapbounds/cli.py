@@ -57,17 +57,27 @@ def _cmd_report(args) -> int:
 
 
 def _traces_rows(g: Graph):
-    nl = normalized_laplacian(g)
-    q = signless_laplacian(g)
     rows = []
-    for name, closed, power in (
-        ("tr(NL^2)", tr2_normalized_closed(g), trace_power(nl, 2)),
-        ("tr(NL^4)", tr4_normalized_closed(g), trace_power(nl, 4)),
-        ("tr(Q^2)", tr2_signless_closed(g), trace_power(q, 2)),
-        ("tr(Q^4)", tr4_signless_closed(g), trace_power(q, 4)),
+    for build, names, closed in (
+        (
+            normalized_laplacian,
+            ("tr(NL^2)", "tr(NL^4)"),
+            (tr2_normalized_closed, tr4_normalized_closed),
+        ),
+        (
+            signless_laplacian,
+            ("tr(Q^2)", "tr(Q^4)"),
+            (tr2_signless_closed, tr4_signless_closed),
+        ),
     ):
-        rel = abs(closed - power) / max(abs(power), 1e-300)
-        rows.append((name, closed, power, rel))
+        # tr(M^2) and tr(M^4) both come from M^2; rebinding one name frees M
+        # and the last matrix's M^2 early, so at most two dense matrices are
+        # alive at a time
+        m2 = build(g)
+        m2 = m2 @ m2
+        for name, closed_trace, p in zip(names, closed, (1, 2)):
+            c, power = closed_trace(g), trace_power(m2, p)
+            rows.append((name, c, power, abs(c - power) / max(abs(power), 1e-300)))
     return rows
 
 

@@ -3,12 +3,15 @@
 Traces of the second and fourth powers come two ways: dense matrix products
 (trace_power) and closed forms over degrees and common neighborhoods. The
 signless closed forms are the degree-based expressions that the squared
-matrix entries dictate; see tr2_signless_closed / tr4_signless_closed.
+matrix entries dictate; see tr2_signless_closed / tr4_signless_closed. The
+fourth-power closed forms visit only the vertex pairs that are adjacent or
+share a neighbour (pair_entries), in O(sum_i d_i^2) time.
 """
 
 from __future__ import annotations
 
-import math
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,31 +27,37 @@ def _require_positive_degrees(g: Graph) -> None:
             )
 
 
+def _edge_array(g: Graph) -> np.ndarray:
+    """The edges as an (m, 2) array of 0-based (u, v), u < v, in sorted order."""
+    flat = chain.from_iterable(g.edges)
+    return np.fromiter(flat, dtype=np.int64, count=2 * len(g.edges)).reshape(-1, 2) - 1
+
+
 def adjacency(g: Graph) -> np.ndarray:
     """0/1 adjacency matrix with zero diagonal."""
     a = np.zeros((g.n, g.n))
-    for u, v in g.edges:
-        a[u - 1, v - 1] = 1.0
-        a[v - 1, u - 1] = 1.0
+    u, v = _edge_array(g).T
+    a[u, v] = 1.0
+    a[v, u] = 1.0
     return a
 
 
 def laplacian(g: Graph) -> np.ndarray:
     """D - A; every row sums to zero."""
     m = -adjacency(g)
-    for v in range(g.n):
-        m[v, v] = float(g.degrees[v])
+    np.fill_diagonal(m, g.degrees)
     return m
 
 
 def normalized_laplacian(g: Graph) -> np.ndarray:
     """Unit diagonal, -1/sqrt(d_i d_j) on edges. Requires all degrees >= 1."""
     _require_positive_degrees(g)
+    d = np.array(g.degrees, dtype=np.int64)
+    u, v = _edge_array(g).T
+    w = -1.0 / np.sqrt(d[u] * d[v])
     m = np.zeros((g.n, g.n))
-    for u, v in g.edges:
-        w = -1.0 / math.sqrt(g.degrees[u - 1] * g.degrees[v - 1])
-        m[u - 1, v - 1] = w
-        m[v - 1, u - 1] = w
+    m[u, v] = w
+    m[v, u] = w
     np.fill_diagonal(m, 1.0)
     return m
 
@@ -56,9 +65,103 @@ def normalized_laplacian(g: Graph) -> np.ndarray:
 def signless_laplacian(g: Graph) -> np.ndarray:
     """D + A; positive semidefinite."""
     m = adjacency(g)
-    for v in range(g.n):
-        m[v, v] = float(g.degrees[v])
+    np.fill_diagonal(m, g.degrees)
     return m
+
+
+def _neighbour_lists(e: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (vertex, neighbour) pairs of the edges e, by vertex, then by neighbour."""
+    row = np.concatenate((e[:, 0], e[:, 1]))
+    col = np.concatenate((e[:, 1], e[:, 0]))
+    order = np.argsort(row * n + col, kind="stable")
+    return row[order], col[order]
+
+
+class PairEntries(NamedTuple):
+    """The pairs i < j that are adjacent or share a neighbour, in row-major order.
+
+    ``i`` and ``j`` are 0-based and ``common`` counts |N_i ∩ N_j|;
+    ``normalized`` and ``signless`` are the (i, j) entries of NL^2 and Q^2.
+    Every off-diagonal entry of NL^2 and Q^2 at a pair not listed is 0.
+    """
+
+    i: np.ndarray
+    j: np.ndarray
+    common: np.ndarray
+    normalized: np.ndarray
+    signless: np.ndarray
+
+
+# wedges per block of pair_entries; bounds the size of its temporaries
+_BLOCK_WEDGES = 4096
+
+
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of x, ascending.
+
+    Not np.unique, which imports numpy.ma; and the same stable argsort as
+    _neighbour_lists, since each further numpy sort kernel maps a few hundred
+    kB of code into the process.
+    """
+    x = x[np.argsort(x, kind="stable")]
+    keep = np.ones(len(x), dtype=bool)
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
+
+
+def pair_entries(g: Graph) -> PairEntries:
+    """The off-diagonal entries of NL^2 and Q^2 that can be nonzero.
+
+    Walks the wedges i - k - j (i < j) in O(sum_i d_i^2) time, a block of
+    rows i at a time so that the temporaries stay near _BLOCK_WEDGES entries.
+    Each NL^2 entry adds its wedges in ascending k, as a loop over
+    sorted(N_i & N_j) does. Isolated vertices are in no pair.
+    """
+    n = g.n
+    d = np.array(g.degrees, dtype=np.int64)
+    e = _edge_array(g)
+    row, col = _neighbour_lists(e, n)
+    indptr = np.concatenate(([0], np.cumsum(d)))
+    # entry s = (i, k) goes on to the neighbours j > i of k, which sit at
+    # positions start[s]:indptr[k + 1] of the neighbour lists
+    start = np.searchsorted(row * n + col, col * n + row, side="right")
+    count = indptr[col + 1] - start
+    before = np.concatenate(([0], np.cumsum(count)))[indptr[:-1]]  # wedges in rows < i
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(before // _BLOCK_WEDGES)) + 1, [n]))
+    edge_bounds = np.searchsorted(e[:, 0], bounds)
+    blocks = []
+    for a, b, ea, eb in zip(bounds[:-1], bounds[1:], edge_bounds[:-1], edge_bounds[1:]):
+        rows = slice(indptr[a], indptr[b])
+        cnt = count[rows]
+        pos = np.repeat(start[rows] - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
+        # the wedges run by i, then k, then j: each pair meets its centres k
+        # in ascending order
+        wedge_key = np.repeat(row[rows], cnt) * n + col[pos]
+        edge_key = e[ea:eb, 0] * n + e[ea:eb, 1]
+        keys = _distinct(np.concatenate((wedge_key, edge_key)))
+        wedge_pair = np.searchsorted(keys, wedge_key)
+        adjacent = np.zeros(len(keys), dtype=bool)
+        adjacent[np.searchsorted(keys, edge_key)] = True
+        i, j = keys // n, keys % n
+        common = np.bincount(wedge_pair, minlength=len(keys))
+        root = np.sqrt(d[i] * d[j])
+        # 1/(d_k root) per wedge; d_k root == root d_k exactly
+        w = root[wedge_pair] * np.repeat(d[col[rows]], cnt)
+        np.divide(1.0, w, out=w)
+        # bincount adds in array order, so each pair's sum runs in ascending k;
+        # it returns integers when there are no wedges
+        normalized = np.bincount(wedge_pair, weights=w, minlength=len(keys))
+        normalized = normalized.astype(np.float64, copy=False)
+        normalized[adjacent] -= 2.0 / root[adjacent]
+        signless = common.astype(np.float64)
+        signless[adjacent] += (d[i] + d[j])[adjacent]
+        blocks.append((i, j, common, normalized, signless))
+    return PairEntries(*(np.concatenate(parts) for parts in zip(*blocks)))
+
+
+def _ordered_sum(x: np.ndarray) -> float:
+    """0.0 + x[0] + x[1] + ..., added left to right as a Python loop would."""
+    return float(np.cumsum(np.append(0.0, x))[-1])
 
 
 def trace_power(m: np.ndarray, p: int) -> float:
@@ -87,27 +190,22 @@ def tr4_normalized_closed(g: Graph) -> float:
 
     Diagonal of NL^2 is 1 + sum_{j~i} 1/(d_i d_j); the (i, j) off-diagonal is
     sum_{k in N_i∩N_j} 1/(d_k sqrt(d_i d_j)) minus 2/sqrt(d_i d_j) when i~j.
+    Only pairs that are adjacent or share a neighbour have a nonzero entry.
+    Every sum runs in ascending vertex order, so the result is bit-identical
+    to summing over all pairs in row-major order.
     """
     _require_positive_degrees(g)
-    d = g.degrees
-    nbr = g.neighbor_sets
-    total = 0.0
-    for i in range(g.n):
-        diag = 1.0
-        for j in sorted(nbr[i]):
-            diag += 1.0 / (d[i] * d[j - 1])
-        total += diag * diag
-    off = 0.0
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            root = math.sqrt(d[i] * d[j])
-            entry = 0.0
-            for k in sorted(nbr[i] & nbr[j]):
-                entry += 1.0 / (d[k - 1] * root)
-            if (j + 1) in nbr[i]:
-                entry -= 2.0 / root
-            off += entry * entry
-    return total + 2.0 * off
+    n = g.n
+    d = np.array(g.degrees, dtype=np.int64)
+    row, col = _neighbour_lists(_edge_array(g), n)
+    # bincount adds in array order: each diagonal entry starts at 1.0
+    diag = np.bincount(
+        np.concatenate((np.arange(n), row)),
+        weights=np.concatenate((np.ones(n), 1.0 / (d[row] * d[col]))),
+        minlength=n,
+    )
+    off = pair_entries(g).normalized
+    return _ordered_sum(diag * diag) + 2.0 * _ordered_sum(off * off)
 
 
 def tr2_signless_closed(g: Graph) -> float:
@@ -122,19 +220,11 @@ def tr4_signless_closed(g: Graph) -> float:
     """tr(Q^4) from the entries of Q^2.
 
     Diagonal of Q^2 is d_i^2 + d_i; the (i, j) off-diagonal is
-    (d_i + d_j)[i~j] + |N_i ∩ N_j|.
+    (d_i + d_j)[i~j] + |N_i ∩ N_j|, nonzero only on adjacent pairs and pairs
+    with a common neighbour. Summed in row-major order, as a loop over all
+    pairs would.
     """
-    d = g.degrees
-    nbr = g.neighbor_sets
-    total = 0.0
-    for i in range(g.n):
-        diag = float(d[i] * d[i] + d[i])
-        total += diag * diag
-    off = 0.0
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            entry = float(len(nbr[i] & nbr[j]))
-            if (j + 1) in nbr[i]:
-                entry += d[i] + d[j]
-            off += entry * entry
-    return total + 2.0 * off
+    d = np.array(g.degrees, dtype=np.int64)
+    diag = (d * d + d).astype(np.float64)
+    off = pair_entries(g).signless
+    return _ordered_sum(diag * diag) + 2.0 * _ordered_sum(off * off)

@@ -30,10 +30,10 @@ from lapbounds.matrices import (
     tr4_signless_closed,
 )
 from lapbounds.trace_bounds import (
-    graph_stats,
     kth_graph_bounds,
     normalized_bounds,
     signless_bounds,
+    trace_stats_psd,
 )
 
 # metric direction per check style
@@ -100,26 +100,33 @@ class VerificationSuite:
     # ---- per-graph checks -------------------------------------------------
 
     def check_graph(self, g: Graph) -> None:
-        self._check_traces(g)
-        self._check_matrices(g)
-        spectra = self._check_spectra(g)
+        mats = {"normalized": normalized_laplacian(g), "signless": signless_laplacian(g)}
+        closed = {
+            "normalized": (tr2_normalized_closed(g), tr4_normalized_closed(g)),
+            "signless": (tr2_signless_closed(g), tr4_signless_closed(g)),
+        }
+        power = {}
+        for kind, m in mats.items():
+            m2 = m @ m
+            power[kind] = (trace_power(m2, 1), trace_power(m2, 2))
+        self._check_traces(closed, power)
+        self._check_matrices(g, mats)
+        spectra = self._check_spectra(g, mats, power)
         self._check_spread_identities(spectra)
-        self._check_bounds(g, spectra)
+        stats = {kind: trace_stats_psd(t2, t4, g.n) for kind, (t2, t4) in closed.items()}
+        self._check_bounds(g, spectra, stats)
 
-    def _check_traces(self, g: Graph) -> None:
-        nl = normalized_laplacian(g)
-        q = signless_laplacian(g)
+    def _check_traces(self, closed, power) -> None:
         inv = self.inv("trace-closed-vs-power", ERROR, 1e-9)
-        inv.record(_rel_err(tr2_normalized_closed(g), trace_power(nl, 2)))
-        inv.record(_rel_err(tr4_normalized_closed(g), trace_power(nl, 4)))
-        inv.record(_rel_err(tr2_signless_closed(g), trace_power(q, 2)))
-        inv.record(_rel_err(tr4_signless_closed(g), trace_power(q, 4)))
+        for kind in closed:
+            for c, p in zip(closed[kind], power[kind]):
+                inv.record(_rel_err(c, p))
 
-    def _check_matrices(self, g: Graph) -> None:
+    def _check_matrices(self, g: Graph, mats) -> None:
         a = adjacency(g)
         lap = laplacian(g)
-        nl = normalized_laplacian(g)
-        q = signless_laplacian(g)
+        nl = mats["normalized"]
+        q = mats["signless"]
         d_half = np.diag([math.sqrt(d) for d in g.degrees])
         conj = self.inv("conjugation-recovers-laplacian", ERROR, 1e-12)
         conj.record(float(np.max(np.abs(d_half @ nl @ d_half - lap))))
@@ -130,17 +137,15 @@ class VerificationSuite:
         tr.record(abs(trace_power(q, 1) - sum(g.degrees)))
         tr.record(abs(trace_power(nl, 1) - g.n))
 
-    def _check_spectra(self, g: Graph):
-        nl = normalized_laplacian(g)
-        q = signless_laplacian(g)
+    def _check_spectra(self, g: Graph, mats, power):
         spectra = {}
         moments = self.inv("spectrum-moments-match-traces", ERROR, 1e-8)
         ranges = self.inv("spectrum-ranges", SLACK, 1e-9)
-        for kind, m in (("normalized", nl), ("signless", q)):
+        for kind, m in mats.items():
             s = eigenvalues_symmetric(m, origin=kind)
             spectra[kind] = s
             moments.record(_rel_err(sum(s.values), trace_power(m, 1)))
-            moments.record(_rel_err(sum(v * v for v in s.values), trace_power(m, 2)))
+            moments.record(_rel_err(sum(v * v for v in s.values), power[kind][0]))
             ranges.record(s.smallest)  # PSD: lambda_n >= 0
             top = 2.0 if kind == "normalized" else 2.0 * max(g.degrees)
             ranges.record(top - s.largest)
@@ -167,7 +172,7 @@ class VerificationSuite:
             sandwich.record((m - half) - lamn)
             sandwich.record(lam1 - (m + half))
 
-    def _check_bounds(self, g: Graph, spectra) -> None:
+    def _check_bounds(self, g: Graph, spectra, stats) -> None:
         validity = self.inv("bound-validity", SLACK, 1e-9)
         dominance = self.inv("sharp-variant-dominates", SLACK, 1e-12)
         kth = self.inv("kth-eigenvalue-containment", SLACK, 1e-9)
@@ -175,9 +180,8 @@ class VerificationSuite:
 
         for kind, build in (("normalized", normalized_bounds), ("signless", signless_bounds)):
             s = spectra[kind]
-            stats = graph_stats(g, kind)
-            printed = build(g, "as_printed", stats=stats)
-            sharp = build(g, "sharp", stats=stats)
+            printed = build(g, "as_printed", stats=stats[kind])
+            sharp = build(g, "sharp", stats=stats[kind])
             lamn_printed, lower, upper = printed
             lamn_sharp = sharp[0]
             validity.record(s.largest - lower.value)
@@ -186,7 +190,7 @@ class VerificationSuite:
             validity.record(lamn_sharp.value - s.smallest)
             dominance.record(lamn_printed.value - lamn_sharp.value)
             for k in range(1, g.n + 1):
-                lo, hi = kth_graph_bounds(g, kind, k, stats=stats)
+                lo, hi = kth_graph_bounds(g, kind, k, stats=stats[kind])
                 lam_k = s.values[k - 1]
                 kth.record(lam_k - lo.value)
                 kth.record(hi.value - lam_k)

@@ -1,9 +1,12 @@
+import re
 import warnings
 
 import pytest
+from hypothesis import given, settings
 
 from lapbounds import (
     IsolatedVertexError,
+    common_neighbors,
     eigenvalues_symmetric,
     generate_connected_gnp,
     li_liu,
@@ -15,7 +18,7 @@ from lapbounds import (
     signless_laplacian,
 )
 from lapbounds.graph import from_edges
-from tests.conftest import complete_graph
+from tests.conftest import bit_identity_graphs, complete_graph, edge_sets
 
 K2 = complete_graph(2)
 K3 = complete_graph(3)
@@ -109,3 +112,56 @@ def test_upper_bounds_dominate_oracle(seed):
         assert oliveira_sqrt(g).value >= lam1_q - 1e-9
     assert li_liu(g).value >= lam1_q - 1e-9
     assert rojo_soto(g).value >= lam1_nl - 1e-9
+
+
+def _reference_rojo_soto(g):
+    """The all-pairs loop the pair-walk E4 replaced, verbatim; returns the value."""
+    if g.n < 2:
+        raise ValueError(f"n must be >= 2, got {g.n}")
+    for v, d in enumerate(g.degrees, start=1):
+        if d == 0:
+            raise IsolatedVertexError(f"vertex {v} is isolated; bound undefined")
+    best = None
+    for i in range(1, g.n + 1):
+        for j in range(i + 1, g.n + 1):
+            ratio = common_neighbors(g, i, j) / max(g.degrees[i - 1], g.degrees[j - 1])
+            if best is None or ratio < best:
+                best = ratio
+    return 2.0 - best
+
+
+def _assert_same_e4(g):
+    try:
+        want = _reference_rojo_soto(g)
+    except (ValueError, IsolatedVertexError) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            rojo_soto(g)
+        return
+    got = rojo_soto(g).value
+    assert type(got) is float
+    assert got == want
+
+
+@pytest.mark.parametrize("g", bit_identity_graphs(), ids=lambda g: f"n{g.n}e{g.edge_count}")
+def test_rojo_soto_bit_identical_to_pair_loop(g):
+    _assert_same_e4(g)
+
+
+def test_rojo_soto_takes_the_minimum_when_every_pair_shares_a_neighbour():
+    # K_n and the wheel: every pair has a common neighbour, so E4 < 2
+    rim = [(i, i + 1) for i in range(2, 7)] + [(2, 7)]
+    wheel = from_edges(7, [(1, i) for i in range(2, 8)] + rim)
+    for g in [complete_graph(n) for n in range(3, 9)] + [wheel]:
+        assert rojo_soto(g).value < 2.0
+        _assert_same_e4(g)
+
+
+def test_rojo_soto_rejects_small_and_isolated_as_before():
+    _assert_same_e4(from_edges(1, []))
+    _assert_same_e4(from_edges(4, [(1, 2), (2, 3)]))
+
+
+@given(edge_sets())
+@settings(max_examples=200, deadline=None)
+def test_rojo_soto_matches_loop_on_any_edge_set(g):
+    _assert_same_e4(g)

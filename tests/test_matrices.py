@@ -1,11 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from lapbounds import (
     IsolatedVertexError,
     adjacency,
+    common_neighbors,
     generate_connected_gnp,
     laplacian,
     normalized_laplacian,
@@ -17,7 +20,16 @@ from lapbounds import (
     tr4_normalized_closed,
     tr4_signless_closed,
 )
-from tests.conftest import complete_graph
+from lapbounds.graph import from_edges
+from lapbounds import matrices
+from lapbounds.matrices import _require_positive_degrees, pair_entries
+from tests.conftest import (
+    bit_identity_graphs,
+    complete_graph,
+    edge_sets,
+    ring_with_chords,
+    star_graph,
+)
 
 K2 = parse_edge_list("1 2")
 K3 = complete_graph(3)
@@ -137,3 +149,180 @@ def test_structural_identities(g):
     assert trace_power(adjacency(g), 1) == 0.0
     assert trace_power(signless_laplacian(g), 1) == pytest.approx(sum(g.degrees))
     assert trace_power(nl, 1) == pytest.approx(g.n)
+
+
+# ---- bit identity with the per-pair and per-edge loops ----------------------
+
+
+def _reference_tr4_normalized(g):
+    """The all-pairs loop the pair-walk closed form replaced, verbatim."""
+    _require_positive_degrees(g)
+    d = g.degrees
+    nbr = g.neighbor_sets
+    total = 0.0
+    for i in range(g.n):
+        diag = 1.0
+        for j in sorted(nbr[i]):
+            diag += 1.0 / (d[i] * d[j - 1])
+        total += diag * diag
+    off = 0.0
+    for i in range(g.n):
+        for j in range(i + 1, g.n):
+            root = math.sqrt(d[i] * d[j])
+            entry = 0.0
+            for k in sorted(nbr[i] & nbr[j]):
+                entry += 1.0 / (d[k - 1] * root)
+            if (j + 1) in nbr[i]:
+                entry -= 2.0 / root
+            off += entry * entry
+    return total + 2.0 * off
+
+
+def _reference_tr4_signless(g):
+    """The all-pairs loop the pair-walk closed form replaced, verbatim."""
+    d = g.degrees
+    nbr = g.neighbor_sets
+    total = 0.0
+    for i in range(g.n):
+        diag = float(d[i] * d[i] + d[i])
+        total += diag * diag
+    off = 0.0
+    for i in range(g.n):
+        for j in range(i + 1, g.n):
+            entry = float(len(nbr[i] & nbr[j]))
+            if (j + 1) in nbr[i]:
+                entry += d[i] + d[j]
+            off += entry * entry
+    return total + 2.0 * off
+
+
+def _reference_adjacency(g):
+    a = np.zeros((g.n, g.n))
+    for u, v in g.edges:
+        a[u - 1, v - 1] = 1.0
+        a[v - 1, u - 1] = 1.0
+    return a
+
+
+def _reference_laplacian(g):
+    m = -_reference_adjacency(g)
+    for v in range(g.n):
+        m[v, v] = float(g.degrees[v])
+    return m
+
+
+def _reference_normalized_laplacian(g):
+    _require_positive_degrees(g)
+    m = np.zeros((g.n, g.n))
+    for u, v in g.edges:
+        w = -1.0 / math.sqrt(g.degrees[u - 1] * g.degrees[v - 1])
+        m[u - 1, v - 1] = w
+        m[v - 1, u - 1] = w
+    np.fill_diagonal(m, 1.0)
+    return m
+
+
+def _reference_signless_laplacian(g):
+    m = _reference_adjacency(g)
+    for v in range(g.n):
+        m[v, v] = float(g.degrees[v])
+    return m
+
+
+_PAIRS = [
+    (tr4_normalized_closed, _reference_tr4_normalized),
+    (tr4_signless_closed, _reference_tr4_signless),
+]
+_BUILDERS = [
+    (adjacency, _reference_adjacency),
+    (laplacian, _reference_laplacian),
+    (normalized_laplacian, _reference_normalized_laplacian),
+    (signless_laplacian, _reference_signless_laplacian),
+]
+
+
+def _assert_same(fn, ref, g):
+    try:
+        want = ref(g)
+    except IsolatedVertexError as exc:
+        with pytest.raises(IsolatedVertexError, match=f"^{re.escape(str(exc))}$"):
+            fn(g)
+        return
+    got = fn(g)
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    else:
+        assert type(got) is float
+        assert got == want
+
+
+@pytest.mark.parametrize("g", bit_identity_graphs(), ids=lambda g: f"n{g.n}e{g.edge_count}")
+def test_tr4_closed_bit_identical_to_pair_loops(g):
+    for fn, ref in _PAIRS:
+        _assert_same(fn, ref, g)
+
+
+@pytest.mark.parametrize("g", bit_identity_graphs(), ids=lambda g: f"n{g.n}e{g.edge_count}")
+def test_builders_equal_to_edge_loops(g):
+    for fn, ref in _BUILDERS:
+        _assert_same(fn, ref, g)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_signless_with_isolated_vertices(seed):
+    g = from_edges(12 + seed, [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6)][: 2 + seed])
+    assert min(g.degrees) == 0
+    _assert_same(tr4_signless_closed, _reference_tr4_signless, g)
+    with pytest.raises(IsolatedVertexError):
+        tr4_normalized_closed(g)
+
+
+def test_single_vertex():
+    g = from_edges(1, [])
+    assert tr4_signless_closed(g) == _reference_tr4_signless(g) == 0.0
+    with pytest.raises(IsolatedVertexError, match="vertex 1 is isolated"):
+        tr4_normalized_closed(g)
+    for fn, ref in _BUILDERS:
+        _assert_same(fn, ref, g)
+
+
+@given(edge_sets())
+@settings(max_examples=200, deadline=None)
+def test_closed_forms_and_builders_match_loops_on_any_edge_set(g):
+    for fn, ref in _PAIRS + _BUILDERS:
+        _assert_same(fn, ref, g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [complete_graph(5), star_graph(7), ring_with_chords(40, 6, 40)],
+    ids=["K5", "star7", "ring40"],
+)
+def test_pair_entries_are_the_nonzero_entries_of_the_squares(g):
+    p = pair_entries(g)
+    keys = p.i * g.n + p.j
+    assert np.all(np.diff(keys) > 0)  # row-major, no repeats
+    q2 = signless_laplacian(g) @ signless_laplacian(g)
+    nl2 = normalized_laplacian(g) @ normalized_laplacian(g)
+    iu, ju = np.triu_indices(g.n, 1)
+    listed = np.isin(iu * g.n + ju, keys)
+    assert np.all(q2[iu[~listed], ju[~listed]] == 0.0)
+    assert np.all(nl2[iu[~listed], ju[~listed]] == 0.0)
+    assert np.array_equal(p.signless, q2[p.i, p.j])
+    assert np.allclose(p.normalized, nl2[p.i, p.j], rtol=0.0, atol=1e-14)
+    assert [int(c) for c in p.common] == [
+        common_neighbors(g, i + 1, j + 1) for i, j in zip(p.i, p.j)
+    ]
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 30])
+def test_block_size_does_not_change_the_entries(monkeypatch, block):
+    g = ring_with_chords(120, 10, 120)
+    want = pair_entries(g)
+    monkeypatch.setattr(matrices, "_BLOCK_WEDGES", block)
+    got = pair_entries(g)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
