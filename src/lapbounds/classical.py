@@ -16,7 +16,7 @@ import numpy as np
 
 from lapbounds.errors import IsolatedVertexError
 from lapbounds.graph import Graph, degree_summary
-from lapbounds.matrices import pair_entries
+from lapbounds.matrices import pair_tables
 from lapbounds.trace_bounds import BoundValue
 
 E3_CORRECTION_NOTE = (
@@ -81,10 +81,12 @@ def rojo_soto(g: Graph) -> BoundValue:
     for v, d in enumerate(g.degrees, start=1):
         if d == 0:
             raise IsolatedVertexError(f"vertex {v} is isolated; bound undefined")
-    p = pair_entries(g)
-    if len(p.common) < g.n * (g.n - 1) // 2:
+    d = np.array(g.degrees, dtype=np.int64)
+    listed, best = 0, 1.0  # no ratio exceeds 1
+    for t in pair_tables(g):
+        listed += len(t.i)
+        best = min(best, float(np.min(t.common / np.maximum(d[t.i], d[t.j]), initial=1.0)))
+    if listed < g.n * (g.n - 1) // 2:
         # some pair shares no neighbour: its ratio 0 is the minimum
         return BoundValue("E4", "upper", "lambda_1", "normalized", 2.0)
-    d = np.array(g.degrees, dtype=np.int64)
-    best = float(np.min(p.common / np.maximum(d[p.i], d[p.j])))
     return BoundValue("E4", "upper", "lambda_1", "normalized", 2.0 - best)

@@ -5,13 +5,13 @@ Traces of the second and fourth powers come two ways: dense matrix products
 signless closed forms are the degree-based expressions that the squared
 matrix entries dictate; see tr2_signless_closed / tr4_signless_closed. The
 fourth-power closed forms visit only the vertex pairs that are adjacent or
-share a neighbour (pair_entries), in O(sum_i d_i^2) time.
+share a neighbour (pair_tables), in O(sum_i d_i^2) time.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -77,91 +77,110 @@ def _neighbour_lists(e: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return row[order], col[order]
 
 
-class PairEntries(NamedTuple):
-    """The pairs i < j that are adjacent or share a neighbour, in row-major order.
+class PairTable(NamedTuple):
+    """Pairs i < j that are adjacent or share a neighbour, and their wedges.
 
-    ``i`` and ``j`` are 0-based and ``common`` counts |N_i ∩ N_j|;
-    ``normalized`` and ``signless`` are the (i, j) entries of NL^2 and Q^2.
-    Every off-diagonal entry of NL^2 and Q^2 at a pair not listed is 0.
+    ``i`` and ``j`` are the 0-based pairs in row-major order, ``adjacent``
+    marks i ~ j and ``common`` counts |N_i ∩ N_j|. ``pair`` and ``centre``
+    give, per wedge i - k - j, the index of its pair and its centre k; the
+    wedges of each pair come in ascending k.
     """
 
     i: np.ndarray
     j: np.ndarray
+    adjacent: np.ndarray
     common: np.ndarray
-    normalized: np.ndarray
-    signless: np.ndarray
+    pair: np.ndarray
+    centre: np.ndarray
 
 
-# wedges per block of pair_entries; bounds the size of its temporaries
+# wedges per block of pair_tables; in one block, the walk's temporaries on a
+# G(64, 0.5) graph reach about 1.8 MB, where `report` peaks at about 31 MB
 _BLOCK_WEDGES = 4096
 
 
-def _distinct(x: np.ndarray) -> np.ndarray:
-    """The distinct values of x, ascending.
+def _ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of x, ascending, and the index of each x[s] among them.
 
-    Not np.unique, which imports numpy.ma; and the same stable argsort as
-    _neighbour_lists, since each further numpy sort kernel maps a few hundred
-    kB of code into the process.
+    Not np.unique, which imports numpy.ma, nor np.searchsorted: one stable
+    argsort, the sort _neighbour_lists does, since each further numpy kernel
+    maps a few hundred kB of code into the process.
     """
-    x = x[np.argsort(x, kind="stable")]
-    keep = np.ones(len(x), dtype=bool)
-    keep[1:] = x[1:] != x[:-1]
-    return x[keep]
+    order = np.argsort(x, kind="stable")
+    x = x[order]
+    first = np.ones(len(x), dtype=bool)
+    first[1:] = x[1:] != x[:-1]
+    rank = np.empty(len(x), dtype=np.int64)
+    rank[order] = np.cumsum(first) - 1
+    return x[first], rank
 
 
-def pair_entries(g: Graph) -> PairEntries:
-    """The off-diagonal entries of NL^2 and Q^2 that can be nonzero.
+def pair_tables(g: Graph) -> Iterator[PairTable]:
+    """Walk the wedges i - k - j (i < j) in O(sum_i d_i^2) time.
 
-    Walks the wedges i - k - j (i < j) in O(sum_i d_i^2) time, a block of
-    rows i at a time so that the temporaries stay near _BLOCK_WEDGES entries.
-    Each NL^2 entry adds its wedges in ascending k, as a loop over
-    sorted(N_i & N_j) does. Isolated vertices are in no pair.
+    Yields the pairs a block of rows i at a time, about _BLOCK_WEDGES wedges
+    each, so that the blocks in order list every pair in row-major order.
+    Every off-diagonal entry of NL^2 and Q^2 at a pair not listed is 0;
+    isolated vertices are in no pair.
     """
     n = g.n
-    d = np.array(g.degrees, dtype=np.int64)
-    e = _edge_array(g)
-    row, col = _neighbour_lists(e, n)
-    indptr = np.concatenate(([0], np.cumsum(d)))
+    row, col = _neighbour_lists(_edge_array(g), n)
+    indptr = np.concatenate(([0], np.cumsum(np.array(g.degrees, dtype=np.int64))))
     # entry s = (i, k) goes on to the neighbours j > i of k, which sit at
-    # positions start[s]:indptr[k + 1] of the neighbour lists
-    start = np.searchsorted(row * n + col, col * n + row, side="right")
+    # positions start[s]:indptr[k + 1] of the neighbour lists; (k, i) is an
+    # entry too, and its rank among them is its position
+    start = _ranks(col * n + row)[1] + 1
     count = indptr[col + 1] - start
     before = np.concatenate(([0], np.cumsum(count)))[indptr[:-1]]  # wedges in rows < i
     bounds = np.concatenate(([0], np.flatnonzero(np.diff(before // _BLOCK_WEDGES)) + 1, [n]))
-    edge_bounds = np.searchsorted(e[:, 0], bounds)
-    blocks = []
-    for a, b, ea, eb in zip(bounds[:-1], bounds[1:], edge_bounds[:-1], edge_bounds[1:]):
+    for a, b in zip(bounds[:-1], bounds[1:]):
         rows = slice(indptr[a], indptr[b])
-        cnt = count[rows]
+        r, c, cnt = row[rows], col[rows], count[rows]
         pos = np.repeat(start[rows] - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
         # the wedges run by i, then k, then j: each pair meets its centres k
         # in ascending order
-        wedge_key = np.repeat(row[rows], cnt) * n + col[pos]
-        edge_key = e[ea:eb, 0] * n + e[ea:eb, 1]
-        keys = _distinct(np.concatenate((wedge_key, edge_key)))
-        wedge_pair = np.searchsorted(keys, wedge_key)
+        wedge_key = np.repeat(r, cnt) * n + col[pos]
+        above = c > r
+        keys, rank = _ranks(np.concatenate((wedge_key, r[above] * n + c[above])))
+        pair = rank[: len(wedge_key)]
         adjacent = np.zeros(len(keys), dtype=bool)
-        adjacent[np.searchsorted(keys, edge_key)] = True
-        i, j = keys // n, keys % n
-        common = np.bincount(wedge_pair, minlength=len(keys))
-        root = np.sqrt(d[i] * d[j])
-        # 1/(d_k root) per wedge; d_k root == root d_k exactly
-        w = root[wedge_pair] * np.repeat(d[col[rows]], cnt)
-        np.divide(1.0, w, out=w)
-        # bincount adds in array order, so each pair's sum runs in ascending k;
-        # it returns integers when there are no wedges
-        normalized = np.bincount(wedge_pair, weights=w, minlength=len(keys))
-        normalized = normalized.astype(np.float64, copy=False)
-        normalized[adjacent] -= 2.0 / root[adjacent]
-        signless = common.astype(np.float64)
-        signless[adjacent] += (d[i] + d[j])[adjacent]
-        blocks.append((i, j, common, normalized, signless))
-    return PairEntries(*(np.concatenate(parts) for parts in zip(*blocks)))
+        adjacent[rank[len(wedge_key) :]] = True
+        common = np.bincount(pair, minlength=len(keys))
+        yield PairTable(keys // n, keys % n, adjacent, common, pair, np.repeat(c, cnt))
 
 
-def _ordered_sum(x: np.ndarray) -> float:
-    """0.0 + x[0] + x[1] + ..., added left to right as a Python loop would."""
-    return float(np.cumsum(np.append(0.0, x))[-1])
+def _normalized_off_diagonal(d: np.ndarray, t: PairTable) -> np.ndarray:
+    """The (i, j) entries of NL^2 at the pairs of t; d holds the degrees."""
+    root = np.sqrt(d[t.i] * d[t.j])
+    # 1/(d_k root) per wedge; d_k root == root d_k exactly
+    w = root[t.pair] * d[t.centre]
+    np.divide(1.0, w, out=w)
+    # bincount adds in array order, so each pair's sum runs in ascending k;
+    # it returns integers when there are no wedges
+    off = np.bincount(t.pair, weights=w, minlength=len(t.i)).astype(np.float64, copy=False)
+    off[t.adjacent] -= 2.0 / root[t.adjacent]
+    return off
+
+
+def _signless_off_diagonal(d: np.ndarray, t: PairTable) -> np.ndarray:
+    """The (i, j) entries of Q^2 at the pairs of t; d holds the degrees."""
+    off = t.common.astype(np.float64)
+    off[t.adjacent] += (d[t.i] + d[t.j])[t.adjacent]
+    return off
+
+
+def _ordered_sum(x: np.ndarray, acc: float = 0.0) -> float:
+    """acc + x[0] + x[1] + ..., added left to right as a Python loop would."""
+    return float(np.cumsum(np.append(acc, x))[-1])
+
+
+def _off_diagonal_squares(g: Graph, d: np.ndarray, entries) -> float:
+    """The sum of entries(d, t)^2 over every pair, in row-major order."""
+    acc = 0.0
+    for t in pair_tables(g):
+        off = entries(d, t)
+        acc = _ordered_sum(off * off, acc)
+    return acc
 
 
 def trace_power(m: np.ndarray, p: int) -> float:
@@ -204,8 +223,8 @@ def tr4_normalized_closed(g: Graph) -> float:
         weights=np.concatenate((np.ones(n), 1.0 / (d[row] * d[col]))),
         minlength=n,
     )
-    off = pair_entries(g).normalized
-    return _ordered_sum(diag * diag) + 2.0 * _ordered_sum(off * off)
+    off = _off_diagonal_squares(g, d, _normalized_off_diagonal)
+    return _ordered_sum(diag * diag) + 2.0 * off
 
 
 def tr2_signless_closed(g: Graph) -> float:
@@ -226,5 +245,5 @@ def tr4_signless_closed(g: Graph) -> float:
     """
     d = np.array(g.degrees, dtype=np.int64)
     diag = (d * d + d).astype(np.float64)
-    off = pair_entries(g).signless
-    return _ordered_sum(diag * diag) + 2.0 * _ordered_sum(off * off)
+    off = _off_diagonal_squares(g, d, _signless_off_diagonal)
+    return _ordered_sum(diag * diag) + 2.0 * off

@@ -17,8 +17,14 @@ from lapbounds import (
     rojo_soto,
     signless_laplacian,
 )
+from lapbounds import matrices
 from lapbounds.graph import from_edges
-from tests.conftest import bit_identity_graphs, complete_graph, edge_sets
+from tests.conftest import (
+    bit_identity_graphs,
+    complete_graph,
+    edge_sets,
+    ring_with_chords,
+)
 
 K2 = complete_graph(2)
 K3 = complete_graph(3)
@@ -153,6 +159,13 @@ def test_rojo_soto_takes_the_minimum_when_every_pair_shares_a_neighbour():
     wheel = from_edges(7, [(1, i) for i in range(2, 8)] + rim)
     for g in [complete_graph(n) for n in range(3, 9)] + [wheel]:
         assert rojo_soto(g).value < 2.0
+        _assert_same_e4(g)
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 30])
+def test_rojo_soto_bit_identical_at_any_block_size(monkeypatch, block):
+    monkeypatch.setattr(matrices, "_BLOCK_WEDGES", block)
+    for g in (complete_graph(12), cycle(9), ring_with_chords(120, 10, 120)):
         _assert_same_e4(g)
 
 

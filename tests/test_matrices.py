@@ -22,7 +22,12 @@ from lapbounds import (
 )
 from lapbounds.graph import from_edges
 from lapbounds import matrices
-from lapbounds.matrices import _require_positive_degrees, pair_entries
+from lapbounds.matrices import (
+    _normalized_off_diagonal,
+    _require_positive_degrees,
+    _signless_off_diagonal,
+    pair_tables,
+)
 from tests.conftest import (
     bit_identity_graphs,
     complete_graph,
@@ -295,34 +300,43 @@ def test_closed_forms_and_builders_match_loops_on_any_edge_set(g):
         _assert_same(fn, ref, g)
 
 
+@pytest.mark.parametrize("block", [1, 7, 4096])
 @pytest.mark.parametrize(
     "g",
     [complete_graph(5), star_graph(7), ring_with_chords(40, 6, 40)],
     ids=["K5", "star7", "ring40"],
 )
-def test_pair_entries_are_the_nonzero_entries_of_the_squares(g):
-    p = pair_entries(g)
-    keys = p.i * g.n + p.j
-    assert np.all(np.diff(keys) > 0)  # row-major, no repeats
+def test_pair_tables_list_the_nonzero_entries_of_the_squares(monkeypatch, g, block):
+    monkeypatch.setattr(matrices, "_BLOCK_WEDGES", block)
+    d = np.array(g.degrees, dtype=np.int64)
     q2 = signless_laplacian(g) @ signless_laplacian(g)
     nl2 = normalized_laplacian(g) @ normalized_laplacian(g)
+    adj = adjacency(g)
+    keys = []
+    for t in pair_tables(g):
+        keys.extend(t.i * g.n + t.j)
+        assert np.array_equal(_signless_off_diagonal(d, t), q2[t.i, t.j])
+        assert np.allclose(
+            _normalized_off_diagonal(d, t), nl2[t.i, t.j], rtol=0.0, atol=1e-14
+        )
+        assert np.array_equal(t.adjacent, adj[t.i, t.j] == 1.0)
+        assert [int(c) for c in t.common] == [
+            common_neighbors(g, i + 1, j + 1) for i, j in zip(t.i, t.j)
+        ]
+        # each pair's wedges are its common neighbours, in ascending order
+        for p, (i, j) in enumerate(zip(t.i, t.j)):
+            centres = [int(k) + 1 for k in t.centre[t.pair == p]]
+            assert centres == sorted(g.neighbor_sets[i] & g.neighbor_sets[j])
+    assert np.all(np.diff(keys) > 0)  # row-major, no repeats
     iu, ju = np.triu_indices(g.n, 1)
     listed = np.isin(iu * g.n + ju, keys)
     assert np.all(q2[iu[~listed], ju[~listed]] == 0.0)
     assert np.all(nl2[iu[~listed], ju[~listed]] == 0.0)
-    assert np.array_equal(p.signless, q2[p.i, p.j])
-    assert np.allclose(p.normalized, nl2[p.i, p.j], rtol=0.0, atol=1e-14)
-    assert [int(c) for c in p.common] == [
-        common_neighbors(g, i + 1, j + 1) for i, j in zip(p.i, p.j)
-    ]
 
 
 @pytest.mark.parametrize("block", [1, 7, 1 << 30])
-def test_block_size_does_not_change_the_entries(monkeypatch, block):
-    g = ring_with_chords(120, 10, 120)
-    want = pair_entries(g)
+def test_bit_identical_at_any_block_size(monkeypatch, block):
     monkeypatch.setattr(matrices, "_BLOCK_WEDGES", block)
-    got = pair_entries(g)
-    for a, b in zip(got, want):
-        assert a.dtype == b.dtype
-        assert np.array_equal(a, b)
+    for g in (ring_with_chords(120, 10, 120), complete_graph(12), star_graph(9)):
+        for fn, ref in _PAIRS:
+            _assert_same(fn, ref, g)
