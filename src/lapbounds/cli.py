@@ -20,6 +20,7 @@ from lapbounds.errors import (
 )
 from lapbounds.graph import Graph, parse_edge_list
 from lapbounds.matrices import (
+    mapped_matrix,
     normalized_laplacian,
     signless_laplacian,
     trace_power,
@@ -57,6 +58,10 @@ def _cmd_report(args) -> int:
 
 
 def _traces_rows(g: Graph):
+    # two n x n matrices serve both Laplacians: M goes to a, M^2 to b, and
+    # M^4 = M^2 M^2 overwrites M; mapped, so each command's peak memory is
+    # the same whatever ran before it in the process
+    a, b = mapped_matrix(g.n), mapped_matrix(g.n)
     rows = []
     for build, names, closed in (
         (
@@ -70,13 +75,9 @@ def _traces_rows(g: Graph):
             (tr2_signless_closed, tr4_signless_closed),
         ),
     ):
-        # tr(M^2) and tr(M^4) both come from M^2; rebinding one name frees M
-        # and the last matrix's M^2 early, so at most two dense matrices are
-        # alive at a time
-        m2 = build(g)
-        m2 = m2 @ m2
-        for name, closed_trace, p in zip(names, closed, (1, 2)):
-            c, power = closed_trace(g), trace_power(m2, p)
+        build(g, out=a)
+        for name, closed_trace, (m, product) in zip(names, closed, ((a, b), (b, a))):
+            c, power = closed_trace(g), trace_power(m, 2, out=product)
             rows.append((name, c, power, abs(c - power) / max(abs(power), 1e-300)))
     return rows
 

@@ -10,6 +10,7 @@ share a neighbour (pair_tables), in O(sum_i d_i^2) time.
 
 from __future__ import annotations
 
+import mmap
 from itertools import chain
 from typing import Iterator, NamedTuple
 
@@ -33,9 +34,34 @@ def _edge_array(g: Graph) -> np.ndarray:
     return np.fromiter(flat, dtype=np.int64, count=2 * len(g.edges)).reshape(-1, 2) - 1
 
 
-def adjacency(g: Graph) -> np.ndarray:
-    """0/1 adjacency matrix with zero diagonal."""
-    a = np.zeros((g.n, g.n))
+def mapped_matrix(n: int) -> np.ndarray:
+    """A zero n x n float64 matrix in a private memory mapping of its own.
+
+    The memory goes back to the system as soon as the matrix is dropped. A
+    block this large taken from malloc may stay in its heap once freed, and
+    a later block may land beside it rather than in it, so the peak memory
+    of a process would depend on the commands it ran before.
+    """
+    if n == 0:
+        return np.zeros((0, 0))
+    buf = mmap.mmap(-1, 8 * n * n, access=mmap.ACCESS_COPY)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        # as numpy does for its own large arrays: far fewer page faults
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf, dtype=np.float64).reshape(n, n)
+
+
+def _zero_matrix(n: int, out: np.ndarray | None) -> np.ndarray:
+    """out set to zero, or a new zero n x n matrix when out is None."""
+    if out is None:
+        return np.zeros((n, n))
+    out.fill(0.0)
+    return out
+
+
+def adjacency(g: Graph, out: np.ndarray | None = None) -> np.ndarray:
+    """0/1 adjacency matrix with zero diagonal, written to out if given."""
+    a = _zero_matrix(g.n, out)
     u, v = _edge_array(g).T
     a[u, v] = 1.0
     a[v, u] = 1.0
@@ -49,22 +75,25 @@ def laplacian(g: Graph) -> np.ndarray:
     return m
 
 
-def normalized_laplacian(g: Graph) -> np.ndarray:
-    """Unit diagonal, -1/sqrt(d_i d_j) on edges. Requires all degrees >= 1."""
+def normalized_laplacian(g: Graph, out: np.ndarray | None = None) -> np.ndarray:
+    """Unit diagonal, -1/sqrt(d_i d_j) on edges, written to out if given.
+
+    Requires all degrees >= 1.
+    """
     _require_positive_degrees(g)
     d = np.array(g.degrees, dtype=np.int64)
     u, v = _edge_array(g).T
     w = -1.0 / np.sqrt(d[u] * d[v])
-    m = np.zeros((g.n, g.n))
+    m = _zero_matrix(g.n, out)
     m[u, v] = w
     m[v, u] = w
     np.fill_diagonal(m, 1.0)
     return m
 
 
-def signless_laplacian(g: Graph) -> np.ndarray:
-    """D + A; positive semidefinite."""
-    m = adjacency(g)
+def signless_laplacian(g: Graph, out: np.ndarray | None = None) -> np.ndarray:
+    """D + A, written to out if given; positive semidefinite."""
+    m = adjacency(g, out)
     np.fill_diagonal(m, g.degrees)
     return m
 
@@ -183,15 +212,19 @@ def _off_diagonal_squares(g: Graph, d: np.ndarray, entries) -> float:
     return acc
 
 
-def trace_power(m: np.ndarray, p: int) -> float:
-    """tr(M^p) for p in {1, 2, 4} via explicit matrix products."""
+def trace_power(m: np.ndarray, p: int, out: np.ndarray | None = None) -> float:
+    """tr(M^p) for p in {1, 2, 4} via explicit matrix products.
+
+    For p = 2 or 4, out, if given, receives M^p; it must not share memory
+    with m.
+    """
     if p == 1:
         return float(np.trace(m))
-    m2 = m @ m
     if p == 2:
-        return float(np.trace(m2))
+        return float(np.trace(np.matmul(m, m, out=out)))
     if p == 4:
-        return float(np.trace(m2 @ m2))
+        m2 = m @ m
+        return float(np.trace(np.matmul(m2, m2, out=out)))
     raise ValueError(f"p must be 1, 2, or 4, got {p}")
 
 

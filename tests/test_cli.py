@@ -3,8 +3,19 @@ import json
 import pytest
 
 from lapbounds import verify as verify_mod
-from lapbounds.cli import main
-from tests.conftest import FIXTURES
+from lapbounds.cli import _traces_rows, main
+from lapbounds.errors import IsolatedVertexError
+from lapbounds.graph import from_edges
+from lapbounds.matrices import (
+    normalized_laplacian,
+    signless_laplacian,
+    trace_power,
+    tr2_normalized_closed,
+    tr2_signless_closed,
+    tr4_normalized_closed,
+    tr4_signless_closed,
+)
+from tests.conftest import FIXTURES, bit_identity_graphs
 
 EX1 = str(FIXTURES / "example1.txt")
 EX2 = str(FIXTURES / "example2.txt")
@@ -113,6 +124,37 @@ class TestTraces:
         row = [line for line in out.splitlines() if line.startswith("tr(Q^4)")][0]
         assert row.split(",")[1] == "258"
         assert row.split(",")[2] == "258"
+
+    @pytest.mark.parametrize(
+        "g", bit_identity_graphs()[::7], ids=lambda g: f"n{g.n}e{g.edge_count}"
+    )
+    def test_rows_equal_fresh_matrix_products(self, g):
+        if min(g.degrees) == 0:
+            with pytest.raises(IsolatedVertexError):
+                _traces_rows(g)
+            return
+        want = []
+        for build, names, closed in (
+            (
+                normalized_laplacian,
+                ("tr(NL^2)", "tr(NL^4)"),
+                (tr2_normalized_closed, tr4_normalized_closed),
+            ),
+            (
+                signless_laplacian,
+                ("tr(Q^2)", "tr(Q^4)"),
+                (tr2_signless_closed, tr4_signless_closed),
+            ),
+        ):
+            m = build(g)
+            for name, closed_trace, p in zip(names, closed, (2, 4)):
+                c, power = closed_trace(g), trace_power(m, p)
+                want.append((name, c, power, abs(c - power) / max(abs(power), 1e-300)))
+        assert _traces_rows(g) == want
+
+    def test_rows_reject_an_isolated_vertex(self):
+        with pytest.raises(IsolatedVertexError, match="vertex 3 is isolated"):
+            _traces_rows(from_edges(3, [(1, 2)]))
 
 
 class TestVerify:

@@ -340,3 +340,40 @@ def test_bit_identical_at_any_block_size(monkeypatch, block):
     for g in (ring_with_chords(120, 10, 120), complete_graph(12), star_graph(9)):
         for fn, ref in _PAIRS:
             _assert_same(fn, ref, g)
+
+
+_FILL_GRAPHS = [complete_graph(5), star_graph(7), ring_with_chords(40, 6, 40), from_edges(1, [])]
+
+
+@pytest.mark.parametrize("g", _FILL_GRAPHS, ids=["K5", "star7", "ring40", "n1"])
+def test_builders_overwrite_a_given_matrix(g):
+    for build in (adjacency, signless_laplacian, normalized_laplacian):
+        if build is normalized_laplacian and min(g.degrees) == 0:
+            continue
+        out = np.full((g.n, g.n), np.nan)
+        assert build(g, out=out) is out
+        want = build(g)
+        assert np.array_equal(out, want)
+        assert np.array_equal(np.signbit(out), np.signbit(want))
+
+
+@pytest.mark.parametrize("g", _FILL_GRAPHS[:3], ids=["K5", "star7", "ring40"])
+def test_trace_power_into_a_given_matrix_is_bit_identical(g):
+    for m in (normalized_laplacian(g), signless_laplacian(g)):
+        m2 = m @ m
+        for p, want in ((2, m2), (4, m2 @ m2)):
+            out = np.full_like(m, np.nan)
+            assert trace_power(m, p, out=out) == trace_power(m, p) == float(np.trace(want))
+            assert np.array_equal(out, want)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 300])
+def test_mapped_matrix_is_a_writable_zero_matrix(n):
+    a = matrices.mapped_matrix(n)
+    assert a.shape == (n, n)
+    assert a.dtype == np.float64
+    assert a.flags.writeable
+    assert not a.any()
+    a[...] = 1.0
+    assert a.sum() == n * n
+
