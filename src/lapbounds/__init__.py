@@ -16,6 +16,7 @@ from lapbounds.graph import (
 from lapbounds.matrices import (
     adjacency,
     laplacian,
+    laplacian_entries,
     normalized_laplacian,
     signless_laplacian,
     trace_power,
@@ -62,6 +63,7 @@ __all__ = [
     "generate_connected_gnp",
     "adjacency",
     "laplacian",
+    "laplacian_entries",
     "normalized_laplacian",
     "signless_laplacian",
     "trace_power",

@@ -19,8 +19,9 @@ from lapbounds.errors import (
     IsolatedVertexError,
 )
 from lapbounds.graph import Graph, parse_edge_list
-from lapbounds.matrices import (
-    mapped_matrix,
+# the dense builders are unused here, but perfbench/tracing.py wraps them here
+from lapbounds.matrices import (  # noqa: F401
+    laplacian_entries,
     normalized_laplacian,
     signless_laplacian,
     trace_power,
@@ -58,26 +59,14 @@ def _cmd_report(args) -> int:
 
 
 def _traces_rows(g: Graph):
-    # two n x n matrices serve both Laplacians: M goes to a, M^2 to b, and
-    # M^4 = M^2 M^2 overwrites M; mapped, so each command's peak memory is
-    # the same whatever ran before it in the process
-    a, b = mapped_matrix(g.n), mapped_matrix(g.n)
     rows = []
-    for build, names, closed in (
-        (
-            normalized_laplacian,
-            ("tr(NL^2)", "tr(NL^4)"),
-            (tr2_normalized_closed, tr4_normalized_closed),
-        ),
-        (
-            signless_laplacian,
-            ("tr(Q^2)", "tr(Q^4)"),
-            (tr2_signless_closed, tr4_signless_closed),
-        ),
+    for kind, names, closed in (
+        ("normalized", ("tr(NL^2)", "tr(NL^4)"), (tr2_normalized_closed, tr4_normalized_closed)),
+        ("signless", ("tr(Q^2)", "tr(Q^4)"), (tr2_signless_closed, tr4_signless_closed)),
     ):
-        build(g, out=a)
-        for name, closed_trace, (m, product) in zip(names, closed, ((a, b), (b, a))):
-            c, power = closed_trace(g), trace_power(m, 2, out=product)
+        m = laplacian_entries(g, kind)
+        for name, closed_trace, p in zip(names, closed, (2, 4)):
+            c, power = closed_trace(g), trace_power(m, p)
             rows.append((name, c, power, abs(c - power) / max(abs(power), 1e-300)))
     return rows
 

@@ -1,8 +1,8 @@
 """The four graph matrices and traces of their powers.
 
-Traces of the second and fourth powers come two ways: dense matrix products
-(trace_power) and closed forms over degrees and common neighborhoods. The
-signless closed forms are the degree-based expressions that the squared
+Traces of the second and fourth powers come two ways: products of the matrix
+entries (trace_power) and closed forms over degrees and common neighborhoods.
+The signless closed forms are the degree-based expressions that the squared
 matrix entries dictate; see tr2_signless_closed / tr4_signless_closed. The
 fourth-power closed forms visit only the vertex pairs that are adjacent or
 share a neighbour (pair_tables), in O(sum_i d_i^2) time.
@@ -10,7 +10,6 @@ share a neighbour (pair_tables), in O(sum_i d_i^2) time.
 
 from __future__ import annotations
 
-import mmap
 from itertools import chain
 from typing import Iterator, NamedTuple
 
@@ -21,11 +20,9 @@ from lapbounds.graph import Graph
 
 
 def _require_positive_degrees(g: Graph) -> None:
-    for v, d in enumerate(g.degrees, start=1):
-        if d == 0:
-            raise IsolatedVertexError(
-                f"vertex {v} is isolated; normalized Laplacian needs d_i >= 1"
-            )
+    if 0 in g.degrees:
+        v = g.degrees.index(0) + 1
+        raise IsolatedVertexError(f"vertex {v} is isolated; normalized Laplacian needs d_i >= 1")
 
 
 def _edge_array(g: Graph) -> np.ndarray:
@@ -34,37 +31,42 @@ def _edge_array(g: Graph) -> np.ndarray:
     return np.fromiter(flat, dtype=np.int64, count=2 * len(g.edges)).reshape(-1, 2) - 1
 
 
-def mapped_matrix(n: int) -> np.ndarray:
-    """A zero n x n float64 matrix in a private memory mapping of its own.
+class Entries(NamedTuple):
+    """A matrix as 0-based (row, col, val) triples in row-major order."""
 
-    The memory goes back to the system as soon as the matrix is dropped. A
-    block this large taken from malloc may stay in its heap once freed, and
-    a later block may land beside it rather than in it, so the peak memory
-    of a process would depend on the commands it ran before.
-    """
-    if n == 0:
-        return np.zeros((0, 0))
-    buf = mmap.mmap(-1, 8 * n * n, access=mmap.ACCESS_COPY)
-    if hasattr(mmap, "MADV_HUGEPAGE"):
-        # as numpy does for its own large arrays: far fewer page faults
-        buf.madvise(mmap.MADV_HUGEPAGE)
-    return np.frombuffer(buf, dtype=np.float64).reshape(n, n)
+    row: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
+    shape: tuple[int, int]
 
 
-def _zero_matrix(n: int, out: np.ndarray | None) -> np.ndarray:
-    """out set to zero, or a new zero n x n matrix when out is None."""
-    if out is None:
-        return np.zeros((n, n))
-    out.fill(0.0)
-    return out
-
-
-def adjacency(g: Graph, out: np.ndarray | None = None) -> np.ndarray:
-    """0/1 adjacency matrix with zero diagonal, written to out if given."""
-    a = _zero_matrix(g.n, out)
+def laplacian_entries(g: Graph, kind: str) -> Entries:
+    """NL (kind "normalized"; all degrees >= 1) or Q (kind "signless"), diagonal included."""
+    d = np.array(g.degrees, dtype=np.int64)
     u, v = _edge_array(g).T
-    a[u, v] = 1.0
-    a[v, u] = 1.0
+    if kind == "normalized":
+        _require_positive_degrees(g)
+        w, diag = -1.0 / np.sqrt(d[u] * d[v]), np.ones(g.n)
+    elif kind == "signless":
+        w, diag = np.ones(len(u)), d.astype(np.float64)
+    else:
+        raise ValueError(f"kind must be 'normalized' or 'signless', got {kind!r}")
+    row = np.concatenate((u, v, np.arange(g.n)))
+    col = np.concatenate((v, u, np.arange(g.n)))
+    order = np.argsort(row * g.n + col, kind="stable")
+    return Entries(row[order], col[order], np.concatenate((w, w, diag))[order], (g.n, g.n))
+
+
+def _dense(m: Entries) -> np.ndarray:
+    a = np.zeros(m.shape)
+    a[m.row, m.col] = m.val
+    return a
+
+
+def adjacency(g: Graph) -> np.ndarray:
+    """0/1 adjacency matrix with zero diagonal."""
+    a = signless_laplacian(g)
+    np.fill_diagonal(a, 0.0)
     return a
 
 
@@ -75,27 +77,14 @@ def laplacian(g: Graph) -> np.ndarray:
     return m
 
 
-def normalized_laplacian(g: Graph, out: np.ndarray | None = None) -> np.ndarray:
-    """Unit diagonal, -1/sqrt(d_i d_j) on edges, written to out if given.
-
-    Requires all degrees >= 1.
-    """
-    _require_positive_degrees(g)
-    d = np.array(g.degrees, dtype=np.int64)
-    u, v = _edge_array(g).T
-    w = -1.0 / np.sqrt(d[u] * d[v])
-    m = _zero_matrix(g.n, out)
-    m[u, v] = w
-    m[v, u] = w
-    np.fill_diagonal(m, 1.0)
-    return m
+def normalized_laplacian(g: Graph) -> np.ndarray:
+    """Unit diagonal, -1/sqrt(d_i d_j) on edges; requires all degrees >= 1."""
+    return _dense(laplacian_entries(g, "normalized"))
 
 
-def signless_laplacian(g: Graph, out: np.ndarray | None = None) -> np.ndarray:
-    """D + A, written to out if given; positive semidefinite."""
-    m = adjacency(g, out)
-    np.fill_diagonal(m, g.degrees)
-    return m
+def signless_laplacian(g: Graph) -> np.ndarray:
+    """D + A; positive semidefinite."""
+    return _dense(laplacian_entries(g, "signless"))
 
 
 def _neighbour_lists(e: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -212,29 +201,52 @@ def _off_diagonal_squares(g: Graph, d: np.ndarray, entries) -> float:
     return acc
 
 
-def trace_power(m: np.ndarray, p: int, out: np.ndarray | None = None) -> float:
-    """tr(M^p) for p in {1, 2, 4} via explicit matrix products.
+def trace_power(m: Entries, p: int) -> float:
+    """tr(M^p) for p in {2, 4} of a symmetric M, from products of its entries.
 
-    For p = 2 or 4, out, if given, receives M^p; it must not share memory
-    with m.
+    tr(M^2) sums the squared entries. For p = 4 each entry M[i, k] meets the
+    entries M[k, j], j >= i, of row k: summed per (i, j), the products give the
+    upper triangle of M^2 row by row (Gustavson's row-wise product), and
+    tr(M^4) sums the squared entries of M^2. O(sum_i (d_i + 1)^2) time and
+    O(nnz(M^2)) memory; no degree or common-neighbour formula is used.
     """
-    if p == 1:
-        return float(np.trace(m))
     if p == 2:
-        return float(np.trace(np.matmul(m, m, out=out)))
-    if p == 4:
-        m2 = m @ m
-        return float(np.trace(np.matmul(m2, m2, out=out)))
-    raise ValueError(f"p must be 1, 2, or 4, got {p}")
+        return float(np.sum(m.val * m.val))
+    if p != 4:
+        raise ValueError(f"p must be 2 or 4, got {p}")
+    n = m.shape[0]
+    # transposing is its own inverse, so sorting the transposed keys finds each (k, i)
+    start = np.argsort(m.col * n + m.row)
+    count = np.cumsum(np.bincount(m.row, minlength=n))[m.col] - start  # up to the end of row k
+    # product t of entry s = (i, k) takes entry pos[t] of row k
+    pos = np.repeat(start - np.cumsum(count) + count, count)
+    pos += np.arange(len(pos))
+    key = m.col[pos]
+    key += np.repeat(m.row * n, count)
+    prod = m.val[pos]
+    del pos
+    prod *= np.repeat(m.val, count)
+    # stable: each entry of M^2 sums its products in ascending k
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    prod = prod[order]
+    del order
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    m2 = np.add.reduceat(prod, np.flatnonzero(first))
+    del prod
+    m2 *= m2
+    # only diagonal keys i n + i are multiples of n + 1; the rest count for (j, i) too
+    m2[key[first] % (n + 1) != 0] *= 2.0
+    return float(np.sum(m2))
 
 
 def tr2_normalized_closed(g: Graph) -> float:
     """tr(NL^2) = n + 2 * sum over edges of 1/(d_i d_j)."""
     _require_positive_degrees(g)
-    acc = 0.0
-    for u, v in g.edges:
-        acc += 1.0 / (g.degrees[u - 1] * g.degrees[v - 1])
-    return g.n + 2.0 * acc
+    d = np.array(g.degrees, dtype=np.int64)
+    u, v = _edge_array(g).T
+    return g.n + 2.0 * _ordered_sum(1.0 / (d[u] * d[v]))
 
 
 def tr4_normalized_closed(g: Graph) -> float:
@@ -262,10 +274,8 @@ def tr4_normalized_closed(g: Graph) -> float:
 
 def tr2_signless_closed(g: Graph) -> float:
     """tr(Q^2) = sum_i (d_i^2 + d_i)."""
-    acc = 0.0
-    for d in g.degrees:
-        acc += d * d + d
-    return acc
+    d = np.array(g.degrees, dtype=np.int64)
+    return _ordered_sum(d * d + d)
 
 
 def tr4_signless_closed(g: Graph) -> float:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from lapbounds import verify as verify_mod
@@ -7,6 +8,7 @@ from lapbounds.cli import _traces_rows, main
 from lapbounds.errors import IsolatedVertexError
 from lapbounds.graph import from_edges
 from lapbounds.matrices import (
+    laplacian_entries,
     normalized_laplacian,
     signless_laplacian,
     trace_power,
@@ -134,21 +136,27 @@ class TestTraces:
                 _traces_rows(g)
             return
         want = []
-        for build, names, closed in (
+        for kind, build, names, closed in (
             (
+                "normalized",
                 normalized_laplacian,
                 ("tr(NL^2)", "tr(NL^4)"),
                 (tr2_normalized_closed, tr4_normalized_closed),
             ),
             (
+                "signless",
                 signless_laplacian,
                 ("tr(Q^2)", "tr(Q^4)"),
                 (tr2_signless_closed, tr4_signless_closed),
             ),
         ):
             m = build(g)
-            for name, closed_trace, p in zip(names, closed, (2, 4)):
-                c, power = closed_trace(g), trace_power(m, p)
+            m2 = m @ m
+            for name, closed_trace, p, dense in zip(
+                names, closed, (2, 4), (np.trace(m2), np.trace(m2 @ m2))
+            ):
+                c, power = closed_trace(g), trace_power(laplacian_entries(g, kind), p)
+                assert power == pytest.approx(float(dense), rel=1e-13, abs=0.0)
                 want.append((name, c, power, abs(c - power) / max(abs(power), 1e-300)))
         assert _traces_rows(g) == want
 

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from lapbounds import (
     common_neighbors,
     generate_connected_gnp,
     laplacian,
+    laplacian_entries,
     normalized_laplacian,
     parse_edge_list,
     signless_laplacian,
@@ -20,6 +22,7 @@ from lapbounds import (
     tr4_normalized_closed,
     tr4_signless_closed,
 )
+from lapbounds.cli import _traces_rows
 from lapbounds.graph import from_edges
 from lapbounds import matrices
 from lapbounds.matrices import (
@@ -32,6 +35,7 @@ from tests.conftest import (
     bit_identity_graphs,
     complete_graph,
     edge_sets,
+    perfect_matching,
     ring_with_chords,
     star_graph,
 )
@@ -85,12 +89,15 @@ def test_signless_diagonal_example2(example2):
 
 
 def test_trace_power_known_values():
-    assert trace_power(normalized_laplacian(K2), 2) == pytest.approx(4.0)
-    q3 = signless_laplacian(K3)
+    assert trace_power(laplacian_entries(K2, "normalized"), 2) == pytest.approx(4.0)
+    q3 = laplacian_entries(K3, "signless")
     assert trace_power(q3, 2) == pytest.approx(18.0)
     assert trace_power(q3, 4) == pytest.approx(258.0)
+    for p in (1, 3):
+        with pytest.raises(ValueError):
+            trace_power(q3, p)
     with pytest.raises(ValueError):
-        trace_power(q3, 3)
+        laplacian_entries(K3, "adjacency")
 
 
 class TestClosedForms:
@@ -102,10 +109,10 @@ class TestClosedForms:
     def test_tr4_normalized(self, example1):
         assert tr4_normalized_closed(K2) == pytest.approx(16.0)
         assert tr4_normalized_closed(K3) == pytest.approx(
-            trace_power(normalized_laplacian(K3), 4), abs=1e-12
+            trace_power(laplacian_entries(K3, "normalized"), 4), abs=1e-12
         )
         assert tr4_normalized_closed(example1) == pytest.approx(
-            trace_power(normalized_laplacian(example1), 4), rel=1e-9
+            trace_power(laplacian_entries(example1, "normalized"), 4), rel=1e-9
         )
 
     def test_tr2_signless(self, example2):
@@ -117,7 +124,7 @@ class TestClosedForms:
         assert tr4_signless_closed(K3) == pytest.approx(258.0)
         assert tr4_signless_closed(K2) == pytest.approx(16.0)
         assert tr4_signless_closed(example2) == pytest.approx(
-            trace_power(signless_laplacian(example2), 4), rel=1e-9
+            trace_power(laplacian_entries(example2, "signless"), 4), rel=1e-9
         )
 
     def test_isolated_vertex_rejected(self):
@@ -136,8 +143,8 @@ def _random_graphs(count, seed0=1000):
 
 @pytest.mark.parametrize("g", _random_graphs(100), ids=lambda g: f"n{g.n}e{g.edge_count}")
 def test_closed_forms_match_matrix_powers(g):
-    nl = normalized_laplacian(g)
-    q = signless_laplacian(g)
+    nl = laplacian_entries(g, "normalized")
+    q = laplacian_entries(g, "signless")
     assert tr2_normalized_closed(g) == pytest.approx(trace_power(nl, 2), rel=1e-9)
     assert tr4_normalized_closed(g) == pytest.approx(trace_power(nl, 4), rel=1e-9)
     assert tr2_signless_closed(g) == pytest.approx(trace_power(q, 2), rel=1e-9)
@@ -151,12 +158,38 @@ def test_structural_identities(g):
     d_half = np.diag(np.sqrt(g.degrees))
     assert np.max(np.abs(d_half @ nl @ d_half - lap)) <= 1e-12
     assert np.max(np.abs(lap.sum(axis=1))) <= 1e-12
-    assert trace_power(adjacency(g), 1) == 0.0
-    assert trace_power(signless_laplacian(g), 1) == pytest.approx(sum(g.degrees))
-    assert trace_power(nl, 1) == pytest.approx(g.n)
+    assert np.trace(adjacency(g)) == 0.0
+    assert np.trace(signless_laplacian(g)) == pytest.approx(sum(g.degrees))
+    assert np.trace(nl) == pytest.approx(g.n)
 
 
 # ---- bit identity with the per-pair and per-edge loops ----------------------
+
+
+def _reference_require_positive_degrees(g):
+    """The per-vertex loop _require_positive_degrees replaced, verbatim."""
+    for v, d in enumerate(g.degrees, start=1):
+        if d == 0:
+            raise IsolatedVertexError(
+                f"vertex {v} is isolated; normalized Laplacian needs d_i >= 1"
+            )
+
+
+def _reference_tr2_normalized(g):
+    """The per-edge loop tr2_normalized_closed replaced, verbatim."""
+    _reference_require_positive_degrees(g)
+    acc = 0.0
+    for u, v in g.edges:
+        acc += 1.0 / (g.degrees[u - 1] * g.degrees[v - 1])
+    return g.n + 2.0 * acc
+
+
+def _reference_tr2_signless(g):
+    """The per-vertex loop tr2_signless_closed replaced, verbatim."""
+    acc = 0.0
+    for d in g.degrees:
+        acc += d * d + d
+    return acc
 
 
 def _reference_tr4_normalized(g):
@@ -238,6 +271,11 @@ _PAIRS = [
     (tr4_normalized_closed, _reference_tr4_normalized),
     (tr4_signless_closed, _reference_tr4_signless),
 ]
+_LOOPS = [
+    (_require_positive_degrees, _reference_require_positive_degrees),
+    (tr2_normalized_closed, _reference_tr2_normalized),
+    (tr2_signless_closed, _reference_tr2_signless),
+]
 _BUILDERS = [
     (adjacency, _reference_adjacency),
     (laplacian, _reference_laplacian),
@@ -259,13 +297,19 @@ def _assert_same(fn, ref, g):
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
     else:
-        assert type(got) is float
+        assert type(got) is type(want)
         assert got == want
 
 
 @pytest.mark.parametrize("g", bit_identity_graphs(), ids=lambda g: f"n{g.n}e{g.edge_count}")
 def test_tr4_closed_bit_identical_to_pair_loops(g):
     for fn, ref in _PAIRS:
+        _assert_same(fn, ref, g)
+
+
+@pytest.mark.parametrize("g", bit_identity_graphs(), ids=lambda g: f"n{g.n}e{g.edge_count}")
+def test_tr2_closed_and_degree_check_bit_identical_to_loops(g):
+    for fn, ref in _LOOPS:
         _assert_same(fn, ref, g)
 
 
@@ -280,15 +324,26 @@ def test_signless_with_isolated_vertices(seed):
     g = from_edges(12 + seed, [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6)][: 2 + seed])
     assert min(g.degrees) == 0
     _assert_same(tr4_signless_closed, _reference_tr4_signless, g)
+    q = laplacian_entries(g, "signless")
+    assert trace_power(q, 2) == tr2_signless_closed(g)
+    assert trace_power(q, 4) == tr4_signless_closed(g)
     with pytest.raises(IsolatedVertexError):
         tr4_normalized_closed(g)
+    with pytest.raises(IsolatedVertexError) as want:
+        _reference_require_positive_degrees(g)
+    with pytest.raises(IsolatedVertexError, match=f"^{re.escape(str(want.value))}$"):
+        laplacian_entries(g, "normalized")
 
 
 def test_single_vertex():
     g = from_edges(1, [])
     assert tr4_signless_closed(g) == _reference_tr4_signless(g) == 0.0
+    q = laplacian_entries(g, "signless")
+    assert trace_power(q, 2) == trace_power(q, 4) == 0.0
     with pytest.raises(IsolatedVertexError, match="vertex 1 is isolated"):
         tr4_normalized_closed(g)
+    with pytest.raises(IsolatedVertexError, match="vertex 1 is isolated"):
+        laplacian_entries(g, "normalized")
     for fn, ref in _BUILDERS:
         _assert_same(fn, ref, g)
 
@@ -296,7 +351,7 @@ def test_single_vertex():
 @given(edge_sets())
 @settings(max_examples=200, deadline=None)
 def test_closed_forms_and_builders_match_loops_on_any_edge_set(g):
-    for fn, ref in _PAIRS + _BUILDERS:
+    for fn, ref in _PAIRS + _LOOPS + _BUILDERS:
         _assert_same(fn, ref, g)
 
 
@@ -342,38 +397,51 @@ def test_bit_identical_at_any_block_size(monkeypatch, block):
             _assert_same(fn, ref, g)
 
 
-_FILL_GRAPHS = [complete_graph(5), star_graph(7), ring_with_chords(40, 6, 40), from_edges(1, [])]
+# ---- the sparse matrix-power route ------------------------------------------
 
 
-@pytest.mark.parametrize("g", _FILL_GRAPHS, ids=["K5", "star7", "ring40", "n1"])
-def test_builders_overwrite_a_given_matrix(g):
-    for build in (adjacency, signless_laplacian, normalized_laplacian):
-        if build is normalized_laplacian and min(g.degrees) == 0:
+_KINDS = [
+    ("normalized", tr2_normalized_closed, tr4_normalized_closed),
+    ("signless", tr2_signless_closed, tr4_signless_closed),
+]
+
+
+def _route_graphs():
+    """The bit-identity families, n = 1 and perfect matchings, which have no wedges."""
+    return bit_identity_graphs() + [from_edges(1, [])] + [perfect_matching(n) for n in (6, 64)]
+
+
+@pytest.mark.parametrize("g", _route_graphs(), ids=lambda g: f"n{g.n}e{g.edge_count}")
+def test_sparse_route_matches_dense_products_and_closed_forms(g):
+    for kind, tr2, tr4 in _KINDS:
+        if kind == "normalized" and min(g.degrees) == 0:
+            with pytest.raises(IsolatedVertexError):
+                laplacian_entries(g, kind)
             continue
-        out = np.full((g.n, g.n), np.nan)
-        assert build(g, out=out) is out
-        want = build(g)
-        assert np.array_equal(out, want)
-        assert np.array_equal(np.signbit(out), np.signbit(want))
-
-
-@pytest.mark.parametrize("g", _FILL_GRAPHS[:3], ids=["K5", "star7", "ring40"])
-def test_trace_power_into_a_given_matrix_is_bit_identical(g):
-    for m in (normalized_laplacian(g), signless_laplacian(g)):
+        e = laplacian_entries(g, kind)
+        assert e.shape == (g.n, g.n)
+        assert np.all(np.diff(e.row * g.n + e.col) > 0)  # row-major, no repeats
+        assert np.array_equal(e.row[e.row == e.col], np.arange(g.n))  # every diagonal
+        m = normalized_laplacian(g) if kind == "normalized" else signless_laplacian(g)
         m2 = m @ m
-        for p, want in ((2, m2), (4, m2 @ m2)):
-            out = np.full_like(m, np.nan)
-            assert trace_power(m, p, out=out) == trace_power(m, p) == float(np.trace(want))
-            assert np.array_equal(out, want)
+        t2, t4 = trace_power(e, 2), trace_power(e, 4)
+        assert type(t2) is float and type(t4) is float
+        assert t2 == pytest.approx(float(np.trace(m2)), rel=1e-13, abs=0.0)
+        assert t4 == pytest.approx(float(np.trace(m2 @ m2)), rel=1e-13, abs=0.0)
+        if kind == "signless":
+            # integer entries: every partial sum is an exact integer
+            assert (t2, t4) == (tr2(g), tr4(g))
+        else:
+            assert t2 == pytest.approx(tr2(g), rel=1e-12, abs=0.0)
+            assert t4 == pytest.approx(tr4(g), rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("n", [0, 1, 5, 300])
-def test_mapped_matrix_is_a_writable_zero_matrix(n):
-    a = matrices.mapped_matrix(n)
-    assert a.shape == (n, n)
-    assert a.dtype == np.float64
-    assert a.flags.writeable
-    assert not a.any()
-    a[...] = 1.0
-    assert a.sum() == n * n
-
+def test_traces_rows_allocate_less_than_one_dense_matrix():
+    g = ring_with_chords(4000, 8, 4000)
+    tracemalloc.start()
+    try:
+        _traces_rows(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.n * g.n * 8
