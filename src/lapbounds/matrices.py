@@ -207,8 +207,8 @@ def trace_power(m: Entries, p: int) -> float:
     tr(M^2) sums the squared entries. For p = 4 each entry M[i, k] meets the
     entries M[k, j], j >= i, of row k: summed per (i, j), the products give the
     upper triangle of M^2 row by row (Gustavson's row-wise product), and
-    tr(M^4) sums the squared entries of M^2. O(sum_i (d_i + 1)^2) time and
-    O(nnz(M^2)) memory; no degree or common-neighbour formula is used.
+    tr(M^4) sums the squared entries of M^2. Time and memory are
+    O(sum_i (d_i + 1)^2); no degree or common-neighbour formula is used.
     """
     if p == 2:
         return float(np.sum(m.val * m.val))
