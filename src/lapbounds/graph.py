@@ -184,8 +184,8 @@ def generate_connected_gnp(n: int, p: float, seed: int) -> Graph:
     Deterministic: identical (n, p, seed) gives an identical edge set on any
     platform. Raises GenerationError after 10,000 rejected draws.
     """
-    if not (2 <= n <= 64):
-        raise ValueError(f"n must be in [2, 64], got {n}")
+    if not (2 <= n <= 128):
+        raise ValueError(f"n must be in [2, 128], got {n}")
     if not (0.0 < p <= 1.0):
         raise ValueError(f"p must be in (0, 1], got {p}")
     rng = SplitMix64(seed)

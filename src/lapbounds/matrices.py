@@ -57,10 +57,27 @@ def laplacian_entries(g: Graph, kind: str) -> Entries:
     return Entries(row[order], col[order], np.concatenate((w, w, diag))[order], (g.n, g.n))
 
 
-def _dense(m: Entries) -> np.ndarray:
+# the largest order of a dense matrix, and so of the Jacobi oracle: one solve
+# of a ring-with-chords Laplacian takes about 8 s at n = 400 and 22 s at
+# n = 512 (11 sweeps, 2-core x86 machine), and the time grows as n^3 times a
+# slowly growing sweep count
+MAX_DENSE_ORDER = 512
+
+
+def dense_laplacian(g: Graph, kind: str) -> tuple[Entries, np.ndarray]:
+    """laplacian_entries(g, kind) and the same matrix as an n x n array.
+
+    Raises ValueError, before building anything, when n > MAX_DENSE_ORDER.
+    """
+    if g.n > MAX_DENSE_ORDER:
+        raise ValueError(
+            f"n = {g.n} is above {MAX_DENSE_ORDER}, the largest order of the dense "
+            "matrices the Jacobi oracle solves"
+        )
+    m = laplacian_entries(g, kind)
     a = np.zeros(m.shape)
     a[m.row, m.col] = m.val
-    return a
+    return m, a
 
 
 def adjacency(g: Graph) -> np.ndarray:
@@ -79,12 +96,12 @@ def laplacian(g: Graph) -> np.ndarray:
 
 def normalized_laplacian(g: Graph) -> np.ndarray:
     """Unit diagonal, -1/sqrt(d_i d_j) on edges; requires all degrees >= 1."""
-    return _dense(laplacian_entries(g, "normalized"))
+    return dense_laplacian(g, "normalized")[1]
 
 
 def signless_laplacian(g: Graph) -> np.ndarray:
     """D + A; positive semidefinite."""
-    return _dense(laplacian_entries(g, "signless"))
+    return dense_laplacian(g, "signless")[1]
 
 
 def _neighbour_lists(e: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -20,8 +20,8 @@ from lapbounds.eig import eigenvalues_symmetric
 from lapbounds.graph import Graph, SplitMix64, from_edges, generate_connected_gnp
 from lapbounds.matrices import (
     adjacency,
+    dense_laplacian,
     laplacian,
-    laplacian_entries,
     normalized_laplacian,
     signless_laplacian,
     trace_power,
@@ -101,12 +101,13 @@ class VerificationSuite:
     # ---- per-graph checks -------------------------------------------------
 
     def check_graph(self, g: Graph) -> None:
-        mats = {"normalized": normalized_laplacian(g), "signless": signless_laplacian(g)}
+        entries, mats = {}, {}
+        for kind in ("normalized", "signless"):
+            entries[kind], mats[kind] = dense_laplacian(g, kind)
         closed = {
             "normalized": (tr2_normalized_closed(g), tr4_normalized_closed(g)),
             "signless": (tr2_signless_closed(g), tr4_signless_closed(g)),
         }
-        entries = {kind: laplacian_entries(g, kind) for kind in mats}
         power = {kind: (trace_power(m, 2), trace_power(m, 4)) for kind, m in entries.items()}
         self._check_traces(closed, power)
         self._check_matrices(g, mats)
@@ -252,8 +253,8 @@ def run_verify(
     n_min: int, n_max: int, trials: int, p: float, seed: int
 ) -> list[Invariant]:
     """Run the full invariant suite; deterministic for fixed arguments."""
-    if not (2 <= n_min <= n_max <= 64):
-        raise ValueError(f"need 2 <= n_min <= n_max <= 64, got {n_min}, {n_max}")
+    if not (2 <= n_min <= n_max <= 128):
+        raise ValueError(f"need 2 <= n_min <= n_max <= 128, got {n_min}, {n_max}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     suite = VerificationSuite()

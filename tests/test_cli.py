@@ -1,13 +1,16 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from lapbounds import cli
 from lapbounds import verify as verify_mod
 from lapbounds.cli import _traces_rows, main
 from lapbounds.errors import IsolatedVertexError
 from lapbounds.graph import from_edges
 from lapbounds.matrices import (
+    MAX_DENSE_ORDER,
     laplacian_entries,
     normalized_laplacian,
     signless_laplacian,
@@ -96,6 +99,24 @@ class TestReport:
         code, out, _ = run(capsys, "report", "--graph", str(p), "--matrix", "signless")
         assert code == 0
         assert out.count("warning: vertex 5 has degree 0; skipped") == 1
+
+    def test_oversized_dense_oracle_exit_1(self, tmp_path, capsys, monkeypatch):
+        # the parse (whose neighbour sets alone take megabytes at this n) runs
+        # before the measurement; the size guard then fires before any matrix
+        # array, dense (80 GB) or sparse, is built
+        p = tmp_path / "big.txt"
+        p.write_text("n=100000\n1 2\n")
+        g = cli._load_graph(str(p))
+        monkeypatch.setattr(cli, "_load_graph", lambda path: g)
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "report", "--graph", str(p), "--matrix", "signless")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert err.startswith(f"error: n = 100000 is above {MAX_DENSE_ORDER},")
+        assert peak < 1 << 20
 
     def test_parse_error_exit_1(self, tmp_path, capsys):
         p = tmp_path / "bad.txt"
@@ -209,6 +230,12 @@ class TestVerify:
     def test_bad_range_exit_1(self, capsys):
         code, _, _ = run(capsys, "verify", "--n-min", "10", "--n-max", "4")
         assert code == 1
+
+
+def test_run_verify_at_n_100_passes():
+    assert verify_mod.all_passed(verify_mod.run_verify(100, 100, 1, 0.5, 1))
+    with pytest.raises(ValueError, match="n_max <= 128"):
+        verify_mod.run_verify(4, 129, 1, 0.5, 1)
 
 
 def test_run_verify_results_all_named():

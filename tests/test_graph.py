@@ -107,6 +107,15 @@ class TestGenerator:
             generate_connected_gnp(1, 0.5, 0)
         with pytest.raises(ValueError):
             generate_connected_gnp(5, 0.0, 0)
+        with pytest.raises(ValueError, match=r"\[2, 128\]"):
+            generate_connected_gnp(129, 0.5, 0)
+
+    def test_n_100_draws_a_connected_graph(self):
+        g = generate_connected_gnp(100, 0.5, 1)
+        assert g.n == 100
+        assert min(g.degrees) >= 1
+        assert is_connected(g)
+        assert generate_connected_gnp(100, 0.5, 1) == g
 
     @given(seed=st.integers(min_value=0, max_value=2**64 - 1))
     @settings(max_examples=25, deadline=None)

@@ -88,6 +88,16 @@ def test_signless_diagonal_example2(example2):
     assert np.array_equal(np.diag(signless_laplacian(example2)), [6, 2, 3, 3, 3, 2, 1])
 
 
+def test_dense_builders_stop_above_the_order_cap():
+    cap = matrices.MAX_DENSE_ORDER
+    assert cap >= 400
+    assert signless_laplacian(from_edges(cap, [(1, 2)])).shape == (cap, cap)
+    big = from_edges(cap + 1, [(1, 2)])
+    for build in (signless_laplacian, adjacency, laplacian):
+        with pytest.raises(ValueError, match=f"n = {cap + 1} is above {cap}"):
+            build(big)
+
+
 def test_trace_power_known_values():
     assert trace_power(laplacian_entries(K2, "normalized"), 2) == pytest.approx(4.0)
     q3 = laplacian_entries(K3, "signless")
