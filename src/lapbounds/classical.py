@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 
 from lapbounds.errors import IsolatedVertexError
-from lapbounds.graph import Graph, degree_summary
+from lapbounds.graph import Graph, neighbour_degree_means
 from lapbounds.matrices import pair_tables
 from lapbounds.trace_bounds import BoundValue
 
@@ -27,32 +27,25 @@ E3_CORRECTION_NOTE = (
 
 
 def _max_over_positive_degrees(g: Graph, per_vertex) -> float:
-    summary = degree_summary(g)
-    if summary.max_degree == 0:
+    v, d, mi = neighbour_degree_means(g)
+    if not len(v):
         raise ValueError("all vertices are isolated; bound undefined")
-    best = None
-    for v in range(1, g.n + 1):
-        d = g.degrees[v - 1]
-        if d == 0:
-            warnings.warn(f"vertex {v} has degree 0; skipped", stacklevel=3)
-            continue
-        val = per_vertex(d, summary.avg_neighbor_degree[v])
-        if best is None or val > best:
-            best = val
-    return best
+    for u in np.flatnonzero(g.indptr[1:] == g.indptr[:-1]).tolist():
+        warnings.warn(f"vertex {u + 1} has degree 0; skipped", stacklevel=3)
+    return float(np.max(per_vertex(d, mi)))
 
 
 def oliveira_quadratic(g: Graph) -> BoundValue:
     """E1: max_i (d_i + sqrt(d_i^2 + 8 d_i m_i)) / 2 >= lambda_1(Q)."""
     val = _max_over_positive_degrees(
-        g, lambda d, mi: (d + math.sqrt(d * d + 8.0 * d * mi)) / 2.0
+        g, lambda d, mi: (d + np.sqrt(d * d + 8.0 * d * mi)) / 2.0
     )
     return BoundValue("E1", "upper", "lambda_1", "signless", val)
 
 
 def oliveira_sqrt(g: Graph) -> BoundValue:
     """E2: max_i (d_i + sqrt(d_i m_i)) >= lambda_1(Q)."""
-    val = _max_over_positive_degrees(g, lambda d, mi: d + math.sqrt(d * mi))
+    val = _max_over_positive_degrees(g, lambda d, mi: d + np.sqrt(d * mi))
     return BoundValue("E2", "upper", "lambda_1", "signless", val)
 
 
@@ -63,9 +56,9 @@ def li_liu(g: Graph) -> BoundValue:
     """
     if g.n < 2:
         raise ValueError(f"n must be >= 2, got {g.n}")
-    summary = degree_summary(g)
-    a = summary.max_degree + summary.min_degree - 1
-    rad = a * a + 8.0 * (2 * summary.edge_count - (g.n - 1) * summary.min_degree)
+    big, small = max(g.degrees), min(g.degrees)
+    a = big + small - 1
+    rad = a * a + 8.0 * (2 * g.edge_count - (g.n - 1) * small)
     val = (a + math.sqrt(rad)) / 2.0
     return BoundValue("E3", "upper", "lambda_1", "signless", val, variant="corrected")
 
@@ -78,10 +71,10 @@ def rojo_soto(g: Graph) -> BoundValue:
     """
     if g.n < 2:
         raise ValueError(f"n must be >= 2, got {g.n}")
-    for v, d in enumerate(g.degrees, start=1):
-        if d == 0:
-            raise IsolatedVertexError(f"vertex {v} is isolated; bound undefined")
-    d = np.array(g.degrees, dtype=np.int64)
+    d = np.diff(g.indptr)
+    isolated = np.flatnonzero(d == 0)
+    if len(isolated):
+        raise IsolatedVertexError(f"vertex {isolated[0] + 1} is isolated; bound undefined")
     listed, best = 0, 1.0  # no ratio exceeds 1
     for t in pair_tables(g):
         listed += len(t.i)

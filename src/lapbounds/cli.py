@@ -12,12 +12,7 @@ import sys
 
 from lapbounds import report as report_mod
 from lapbounds import verify as verify_mod
-from lapbounds.errors import (
-    ConvergenceError,
-    EdgeListError,
-    GenerationError,
-    IsolatedVertexError,
-)
+from lapbounds.errors import ConvergenceError, GenerationError
 from lapbounds.graph import Graph, parse_edge_list
 # the dense builders are unused here, but perfbench/tracing.py wraps them here
 from lapbounds.matrices import (  # noqa: F401
@@ -31,14 +26,8 @@ from lapbounds.matrices import (  # noqa: F401
     tr4_signless_closed,
 )
 
-_INPUT_ERRORS = (
-    EdgeListError,
-    IsolatedVertexError,
-    GenerationError,
-    ConvergenceError,
-    OSError,
-    ValueError,
-)
+# EdgeListError and IsolatedVertexError are ValueErrors
+_INPUT_ERRORS = (GenerationError, ConvergenceError, OSError, ValueError)
 
 
 def _load_graph(path: str) -> Graph:
@@ -49,12 +38,7 @@ def _load_graph(path: str) -> Graph:
 def _cmd_report(args) -> int:
     g = _load_graph(args.graph)
     rep = report_mod.build_report(g, args.matrix, args.k or [])
-    if args.format == "table":
-        sys.stdout.write(report_mod.render_table(rep))
-    elif args.format == "csv":
-        sys.stdout.write(report_mod.render_csv(rep))
-    else:
-        sys.stdout.write(report_mod.render_json(rep))
+    sys.stdout.write(getattr(report_mod, f"render_{args.format}")(rep))
     return 2 if rep.violated else 0
 
 
@@ -102,12 +86,7 @@ def _cmd_traces(args) -> int:
 
 def _cmd_verify(args) -> int:
     results = verify_mod.run_verify(args.n_min, args.n_max, args.trials, args.p, args.seed)
-    if args.format == "json":
-        sys.stdout.write(verify_mod.render_json(results))
-    elif args.format == "csv":
-        sys.stdout.write(verify_mod.render_csv(results))
-    else:
-        sys.stdout.write(verify_mod.render_table(results))
+    sys.stdout.write(getattr(verify_mod, f"render_{args.format}")(results))
     return 0 if verify_mod.all_passed(results) else 2
 
 

@@ -10,7 +10,6 @@ share a neighbour (pair_tables), in O(sum_i d_i^2) time.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -20,15 +19,15 @@ from lapbounds.graph import Graph
 
 
 def _require_positive_degrees(g: Graph) -> None:
-    if 0 in g.degrees:
-        v = g.degrees.index(0) + 1
+    isolated = np.flatnonzero(g.indptr[1:] == g.indptr[:-1])
+    if len(isolated):
+        v = isolated[0] + 1
         raise IsolatedVertexError(f"vertex {v} is isolated; normalized Laplacian needs d_i >= 1")
 
 
-def _edge_array(g: Graph) -> np.ndarray:
-    """The edges as an (m, 2) array of 0-based (u, v), u < v, in sorted order."""
-    flat = chain.from_iterable(g.edges)
-    return np.fromiter(flat, dtype=np.int64, count=2 * len(g.edges)).reshape(-1, 2) - 1
+def _csr_rows(g: Graph) -> np.ndarray:
+    """The row (vertex) of each entry of g.indices."""
+    return np.repeat(np.arange(g.n), np.diff(g.indptr))
 
 
 class Entries(NamedTuple):
@@ -42,19 +41,20 @@ class Entries(NamedTuple):
 
 def laplacian_entries(g: Graph, kind: str) -> Entries:
     """NL (kind "normalized"; all degrees >= 1) or Q (kind "signless"), diagonal included."""
-    d = np.array(g.degrees, dtype=np.int64)
-    u, v = _edge_array(g).T
+    n, col = g.n, g.indices
+    d, row = np.diff(g.indptr), _csr_rows(g)
     if kind == "normalized":
         _require_positive_degrees(g)
-        w, diag = -1.0 / np.sqrt(d[u] * d[v]), np.ones(g.n)
+        w, diag = -1.0 / np.sqrt(d[row] * d[col]), np.ones(n)
     elif kind == "signless":
-        w, diag = np.ones(len(u)), d.astype(np.float64)
+        w, diag = np.ones(len(col)), d.astype(np.float64)
     else:
         raise ValueError(f"kind must be 'normalized' or 'signless', got {kind!r}")
-    row = np.concatenate((u, v, np.arange(g.n)))
-    col = np.concatenate((v, u, np.arange(g.n)))
-    order = np.argsort(row * g.n + col, kind="stable")
-    return Entries(row[order], col[order], np.concatenate((w, w, diag))[order], (g.n, g.n))
+    ii = np.arange(n)
+    row, col = np.concatenate((row, ii)), np.concatenate((col, ii))
+    # two ascending runs of keys, the CSR's and the diagonal's: timsort merges them
+    order = np.argsort(row * n + col, kind="stable")
+    return Entries(row[order], col[order], np.concatenate((w, diag))[order], (n, n))
 
 
 # the largest order of a dense matrix, and so of the Jacobi oracle: one solve
@@ -104,14 +104,6 @@ def signless_laplacian(g: Graph) -> np.ndarray:
     return dense_laplacian(g, "signless")[1]
 
 
-def _neighbour_lists(e: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (vertex, neighbour) pairs of the edges e, by vertex, then by neighbour."""
-    row = np.concatenate((e[:, 0], e[:, 1]))
-    col = np.concatenate((e[:, 1], e[:, 0]))
-    order = np.argsort(row * n + col, kind="stable")
-    return row[order], col[order]
-
-
 class PairTable(NamedTuple):
     """Pairs i < j that are adjacent or share a neighbour, and their wedges.
 
@@ -138,7 +130,7 @@ def _ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of x, ascending, and the index of each x[s] among them.
 
     Not np.unique, which imports numpy.ma, nor np.searchsorted: one stable
-    argsort, the sort _neighbour_lists does, since each further numpy kernel
+    argsort, the sort Graph's CSR is built with, since each further numpy kernel
     maps a few hundred kB of code into the process.
     """
     order = np.argsort(x, kind="stable")
@@ -158,9 +150,8 @@ def pair_tables(g: Graph) -> Iterator[PairTable]:
     Every off-diagonal entry of NL^2 and Q^2 at a pair not listed is 0;
     isolated vertices are in no pair.
     """
-    n = g.n
-    row, col = _neighbour_lists(_edge_array(g), n)
-    indptr = np.concatenate(([0], np.cumsum(np.array(g.degrees, dtype=np.int64))))
+    n, indptr, col = g.n, g.indptr, g.indices
+    row = _csr_rows(g)
     # entry s = (i, k) goes on to the neighbours j > i of k, which sit at
     # positions start[s]:indptr[k + 1] of the neighbour lists; (k, i) is an
     # entry too, and its rank among them is its position
@@ -261,8 +252,8 @@ def trace_power(m: Entries, p: int) -> float:
 def tr2_normalized_closed(g: Graph) -> float:
     """tr(NL^2) = n + 2 * sum over edges of 1/(d_i d_j)."""
     _require_positive_degrees(g)
-    d = np.array(g.degrees, dtype=np.int64)
-    u, v = _edge_array(g).T
+    d = np.diff(g.indptr)
+    u, v = g.edge_array.T
     return g.n + 2.0 * _ordered_sum(1.0 / (d[u] * d[v]))
 
 
@@ -276,9 +267,8 @@ def tr4_normalized_closed(g: Graph) -> float:
     to summing over all pairs in row-major order.
     """
     _require_positive_degrees(g)
-    n = g.n
-    d = np.array(g.degrees, dtype=np.int64)
-    row, col = _neighbour_lists(_edge_array(g), n)
+    n, col = g.n, g.indices
+    d, row = np.diff(g.indptr), _csr_rows(g)
     # bincount adds in array order: each diagonal entry starts at 1.0
     diag = np.bincount(
         np.concatenate((np.arange(n), row)),
@@ -291,7 +281,7 @@ def tr4_normalized_closed(g: Graph) -> float:
 
 def tr2_signless_closed(g: Graph) -> float:
     """tr(Q^2) = sum_i (d_i^2 + d_i)."""
-    d = np.array(g.degrees, dtype=np.int64)
+    d = np.diff(g.indptr)
     return _ordered_sum(d * d + d)
 
 
@@ -303,7 +293,7 @@ def tr4_signless_closed(g: Graph) -> float:
     with a common neighbour. Summed in row-major order, as a loop over all
     pairs would.
     """
-    d = np.array(g.degrees, dtype=np.int64)
+    d = np.diff(g.indptr)
     diag = (d * d + d).astype(np.float64)
     off = _off_diagonal_squares(g, d, _signless_off_diagonal)
     return _ordered_sum(diag * diag) + 2.0 * off

@@ -73,14 +73,6 @@ def _rel_err(got: float, want: float) -> float:
     return abs(got - want) / max(abs(want), 1e-300)
 
 
-def _path(n: int) -> Graph:
-    return from_edges(n, [(i, i + 1) for i in range(1, n)])
-
-
-def _star(n: int) -> Graph:
-    return from_edges(n, [(1, i) for i in range(2, n + 1)])
-
-
 def _cycle(n: int) -> Graph:
     return from_edges(n, [(i, i % n + 1) for i in range(1, n + 1)])
 
@@ -214,8 +206,8 @@ class VerificationSuite:
             kn_spec.record(max(abs(a - b) for a, b in zip(s.values, expect)))
 
         bipartite = self.inv("bipartite-signless-equals-laplacian-spectrum", ERROR, 1e-8)
-        fams = [_path(n) for n in (2, 3, 4, 5)]
-        fams += [_star(n) for n in (3, 4, 5)]
+        fams = [from_edges(n, [(i, i + 1) for i in range(1, n)]) for n in (2, 3, 4, 5)]  # paths
+        fams += [from_edges(n, [(1, i) for i in range(2, n + 1)]) for n in (3, 4, 5)]  # stars
         fams += [_cycle(n) for n in (4, 6, 8)]
         for g in fams:
             sq = eigenvalues_symmetric(signless_laplacian(g))

@@ -19,6 +19,11 @@ def example2():
     return parse_edge_list((FIXTURES / "example2.txt").read_text())
 
 
+def neighbour_sets(g):
+    """The 1-based neighbour set of each vertex, read from the CSR of g."""
+    return [frozenset((g.indices[a:b] + 1).tolist()) for a, b in zip(g.indptr[:-1], g.indptr[1:])]
+
+
 def complete_graph(n):
     return from_edges(n, [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)])
 

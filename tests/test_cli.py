@@ -8,7 +8,7 @@ from lapbounds import cli
 from lapbounds import verify as verify_mod
 from lapbounds.cli import _traces_rows, main
 from lapbounds.errors import IsolatedVertexError
-from lapbounds.graph import from_edges
+from lapbounds.graph import MAX_VERTICES, from_edges
 from lapbounds.matrices import (
     MAX_DENSE_ORDER,
     laplacian_entries,
@@ -101,7 +101,7 @@ class TestReport:
         assert out.count("warning: vertex 5 has degree 0; skipped") == 1
 
     def test_oversized_dense_oracle_exit_1(self, tmp_path, capsys, monkeypatch):
-        # the parse (whose neighbour sets alone take megabytes at this n) runs
+        # the parse (whose arrays and degree tuple take megabytes at this n) runs
         # before the measurement; the size guard then fires before any matrix
         # array, dense (80 GB) or sparse, is built
         p = tmp_path / "big.txt"
@@ -124,6 +124,32 @@ class TestReport:
         code, _, err = run(capsys, "report", "--graph", str(p))
         assert code == 1
         assert "self-loop" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n=10000000000\n1 2\n", "n = 10000000000 is above"),
+            ("1 2\n2 10000000000\n", "line 2: vertex label 10000000000 is above"),
+            (f"1 2\n2 {10**30}\n", f"line 2: vertex label {10**30} is above"),  # beyond int64
+        ],
+    )
+    @pytest.mark.parametrize("command", ["report", "traces"])
+    def test_vertex_count_above_the_cap_exit_1(self, tmp_path, capsys, text, message, command):
+        # refused before anything of size n is allocated
+        p = tmp_path / "huge.txt"
+        p.write_text(text)
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, command, "--graph", str(p))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: {message} {MAX_VERTICES}, the largest vertex count lapbounds "
+            "accepts (MAX_VERTICES)\n"
+        )
+        assert peak < 1 << 20
 
 
 class TestTraces:
