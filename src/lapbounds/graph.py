@@ -19,8 +19,8 @@ _MASK64 = (1 << 64) - 1
 # rejection-sampling budget for generate_connected_gnp
 _MAX_DRAWS = 10_000
 
-# the largest vertex count: a Graph holds O(n) arrays and a degree tuple, about
-# 25 MB at the cap; a larger n is refused before anything of size n exists
+# the largest vertex count: a Graph's O(n) arrays and degree tuple take 15 MB at
+# the cap (31 MB while built); a larger n is refused before anything of size n exists
 MAX_VERTICES = 1_000_000
 _ABOVE_CAP = f"is above {MAX_VERTICES}, the largest vertex count lapbounds accepts (MAX_VERTICES)"
 
