@@ -15,6 +15,7 @@ from lapbounds.graph import (
 )
 from lapbounds.matrices import (
     adjacency,
+    fourth_power_traces,
     laplacian,
     laplacian_entries,
     normalized_laplacian,
@@ -24,6 +25,7 @@ from lapbounds.matrices import (
     tr4_normalized_closed,
     tr2_signless_closed,
     tr4_signless_closed,
+    tr4_closed,
 )
 from lapbounds.eig import Spectrum, eigenvalues_symmetric, kth_eigenvalue
 from lapbounds.trace_bounds import (
@@ -67,10 +69,12 @@ __all__ = [
     "normalized_laplacian",
     "signless_laplacian",
     "trace_power",
+    "fourth_power_traces",
     "tr2_normalized_closed",
     "tr4_normalized_closed",
     "tr2_signless_closed",
     "tr4_signless_closed",
+    "tr4_closed",
     "Spectrum",
     "eigenvalues_symmetric",
     "kth_eigenvalue",

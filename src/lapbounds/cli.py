@@ -14,14 +14,17 @@ from lapbounds import report as report_mod
 from lapbounds import verify as verify_mod
 from lapbounds.errors import ConvergenceError, GenerationError
 from lapbounds.graph import Graph, parse_edge_list
-# the dense builders are unused here, but perfbench/tracing.py wraps them here
+# the dense builders and the single-matrix tr(M^4) functions are unused here,
+# but perfbench/tracing.py wraps them here
 from lapbounds.matrices import (  # noqa: F401
+    fourth_power_traces,
     laplacian_entries,
     normalized_laplacian,
     signless_laplacian,
     trace_power,
     tr2_normalized_closed,
     tr2_signless_closed,
+    tr4_closed,
     tr4_normalized_closed,
     tr4_signless_closed,
 )
@@ -43,14 +46,19 @@ def _cmd_report(args) -> int:
 
 
 def _traces_rows(g: Graph):
+    kinds = ("normalized", "signless")
+    ms = [laplacian_entries(g, kind) for kind in kinds]
+    # both matrices share one pattern: one pair walk and one symbolic product
+    closed4, power4 = tr4_closed(g, kinds), fourth_power_traces(ms)
     rows = []
-    for kind, names, closed in (
-        ("normalized", ("tr(NL^2)", "tr(NL^4)"), (tr2_normalized_closed, tr4_normalized_closed)),
-        ("signless", ("tr(Q^2)", "tr(Q^4)"), (tr2_signless_closed, tr4_signless_closed)),
+    for names, tr2_closed, m, c4, p4 in zip(
+        (("tr(NL^2)", "tr(NL^4)"), ("tr(Q^2)", "tr(Q^4)")),
+        (tr2_normalized_closed, tr2_signless_closed),
+        ms,
+        closed4,
+        power4,
     ):
-        m = laplacian_entries(g, kind)
-        for name, closed_trace, p in zip(names, closed, (2, 4)):
-            c, power = closed_trace(g), trace_power(m, p)
+        for name, c, power in zip(names, (tr2_closed(g), c4), (trace_power(m, 2), p4)):
             rows.append((name, c, power, abs(c - power) / max(abs(power), 1e-300)))
     return rows
 

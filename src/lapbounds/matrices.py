@@ -6,11 +6,17 @@ The signless closed forms are the degree-based expressions that the squared
 matrix entries dictate; see tr2_signless_closed / tr4_signless_closed. The
 fourth-power closed forms visit only the vertex pairs that are adjacent or
 share a neighbour (pair_tables), in O(sum_i d_i^2) time.
+
+NL and Q of one graph share their sparsity pattern and their pairs, so the
+symbolic work of tr(M^4) is done once per pattern and applied to both: one
+pair walk serves every closed form (tr4_closed), and one symbolic product
+serves every matrix power (fourth_power_traces). Both work a block of rows at
+a time, so memory is O(block + nnz(M^2)).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,6 +34,10 @@ def _require_positive_degrees(g: Graph) -> None:
 def _csr_rows(g: Graph) -> np.ndarray:
     """The row (vertex) of each entry of g.indices."""
     return np.repeat(np.arange(g.n), np.diff(g.indptr))
+
+
+def _kind_error(kind: str) -> ValueError:
+    return ValueError(f"kind must be 'normalized' or 'signless', got {kind!r}")
 
 
 class Entries(NamedTuple):
@@ -49,7 +59,7 @@ def laplacian_entries(g: Graph, kind: str) -> Entries:
     elif kind == "signless":
         w, diag = np.ones(len(col)), d.astype(np.float64)
     else:
-        raise ValueError(f"kind must be 'normalized' or 'signless', got {kind!r}")
+        raise _kind_error(kind)
     ii = np.arange(n)
     row, col = np.concatenate((row, ii)), np.concatenate((col, ii))
     # two ascending runs of keys, the CSR's and the diagonal's: timsort merges them
@@ -142,6 +152,16 @@ def _ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x[first], rank
 
 
+def _row_blocks(indptr: np.ndarray, work: np.ndarray, per_block: int) -> np.ndarray:
+    """Bounds 0 = a_0 < a_1 < ... = n that cut the rows into blocks of about per_block work.
+
+    Row i holds the entries indptr[i]:indptr[i + 1], and entry s does work[s];
+    a block starts at each row whose preceding rows cross a multiple of per_block.
+    """
+    before = np.concatenate(([0], np.cumsum(work)))[indptr[:-1]]  # work in rows < i
+    return np.concatenate(([0], np.flatnonzero(np.diff(before // per_block)) + 1, [len(indptr) - 1]))
+
+
 def pair_tables(g: Graph) -> Iterator[PairTable]:
     """Walk the wedges i - k - j (i < j) in O(sum_i d_i^2) time.
 
@@ -157,8 +177,7 @@ def pair_tables(g: Graph) -> Iterator[PairTable]:
     # entry too, and its rank among them is its position
     start = _ranks(col * n + row)[1] + 1
     count = indptr[col + 1] - start
-    before = np.concatenate(([0], np.cumsum(count)))[indptr[:-1]]  # wedges in rows < i
-    bounds = np.concatenate(([0], np.flatnonzero(np.diff(before // _BLOCK_WEDGES)) + 1, [n]))
+    bounds = _row_blocks(indptr, count, _BLOCK_WEDGES)
     for a, b in zip(bounds[:-1], bounds[1:]):
         rows = slice(indptr[a], indptr[b])
         r, c, cnt = row[rows], col[rows], count[rows]
@@ -195,58 +214,134 @@ def _signless_off_diagonal(d: np.ndarray, t: PairTable) -> np.ndarray:
     return off
 
 
+def _normalized_diagonal(g: Graph, d: np.ndarray) -> np.ndarray:
+    """The diagonal of NL^2, 1 + sum_{j~i} 1/(d_i d_j), each sum in ascending j."""
+    row = _csr_rows(g)
+    # bincount adds in array order: each diagonal entry starts at 1.0
+    return np.bincount(
+        np.concatenate((np.arange(g.n), row)),
+        weights=np.concatenate((np.ones(g.n), 1.0 / (d[row] * d[g.indices]))),
+        minlength=g.n,
+    )
+
+
+def _signless_diagonal(g: Graph, d: np.ndarray) -> np.ndarray:
+    """The diagonal of Q^2, d_i^2 + d_i."""
+    return (d * d + d).astype(np.float64)
+
+
+# per kind, the diagonal of M^2 and its off-diagonal entries at the pairs of a PairTable
+_SQUARE_ENTRIES = {
+    "normalized": (_normalized_diagonal, _normalized_off_diagonal),
+    "signless": (_signless_diagonal, _signless_off_diagonal),
+}
+
+
 def _ordered_sum(x: np.ndarray, acc: float = 0.0) -> float:
     """acc + x[0] + x[1] + ..., added left to right as a Python loop would."""
     return float(np.cumsum(np.append(acc, x))[-1])
 
 
-def _off_diagonal_squares(g: Graph, d: np.ndarray, entries) -> float:
-    """The sum of entries(d, t)^2 over every pair, in row-major order."""
-    acc = 0.0
+def _off_diagonal_squares(g: Graph, d: np.ndarray, entries: Sequence) -> list[float]:
+    """For each function f in entries, the sum of f(d, t)^2 over every pair, in
+    row-major order, from one walk of pair_tables(g)."""
+    acc = [0.0] * len(entries)
     for t in pair_tables(g):
-        off = entries(d, t)
-        acc = _ordered_sum(off * off, acc)
+        for s, f in enumerate(entries):
+            off = f(d, t)
+            acc[s] = _ordered_sum(off * off, acc[s])
     return acc
+
+
+# products per block of fourth_power_traces; a block's index arrays then take
+# about 200 kB. Unblocked, the product for two matrices raised the peak resident
+# memory of `traces` on 1000- and 2000-vertex ring-with-chords graphs from 38 to
+# 45 MB, and ran no faster
+_BLOCK_PRODUCTS = 4096
+
+
+def fourth_power_traces(ms: Sequence[Entries]) -> list[float]:
+    """tr(M^4) of each symmetric M in ms, all of one sparsity pattern.
+
+    Each entry M[i, k] meets the entries M[k, j], j >= i, of row k: summed per
+    (i, j), the products give the upper triangle of M^2 row by row (Gustavson's
+    row-wise product), and tr(M^4) sums the squared entries of M^2, those above
+    the diagonal twice. Which entries meet and how their products group depends
+    only on the pattern, so that symbolic work is done once, a block of about
+    _BLOCK_PRODUCTS products at a time, and only the products and their sums are
+    formed per matrix. Time is O(sum_i (d_i + 1)^2) and memory
+    O(_BLOCK_PRODUCTS + nnz(M^2)); no degree or common-neighbour formula is used.
+
+    Raises ValueError unless every M has the row, col and shape of ms[0].
+    """
+    row, col, shape = ms[0].row, ms[0].col, ms[0].shape
+    for m in ms[1:]:
+        if m.shape != shape or not (np.array_equal(m.row, row) and np.array_equal(m.col, col)):
+            raise ValueError("the matrices must share one sparsity pattern")
+    n = shape[0]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=n))))
+    # transposing is its own inverse, so sorting the transposed keys finds each (k, i)
+    start = np.argsort(col * n + row)
+    count = indptr[col + 1] - start  # up to the end of row k
+    squares = [[] for _ in ms]
+    bounds = _row_blocks(indptr, count, _BLOCK_PRODUCTS)
+    for a, b in zip(indptr[bounds[:-1]], indptr[bounds[1:]]):
+        cnt = count[a:b]
+        # product t of entry src[t] = (i, k) takes entry pos[t] of row k
+        pos = np.repeat(start[a:b] - np.cumsum(cnt) + cnt, cnt)
+        pos += np.arange(len(pos))
+        src = np.repeat(np.arange(a, b), cnt)
+        key = row[src] * n
+        key += col[pos]
+        # stable: each entry of M^2 sums its products in ascending k
+        order = np.argsort(key, kind="stable")
+        key, pos, src = key[order], pos[order], src[order]
+        first = np.ones(len(key), dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        starts = np.flatnonzero(first)
+        # only diagonal keys i n + i are multiples of n + 1; the rest count for (j, i) too
+        weight = 1.0 + (key[starts] % (n + 1) != 0)
+        for m, out in zip(ms, squares):
+            m2 = np.add.reduceat(m.val[pos] * m.val[src], starts)
+            m2 *= m2
+            m2 *= weight
+            out.append(m2)
+    return [float(np.sum(np.concatenate(out))) for out in squares]
 
 
 def trace_power(m: Entries, p: int) -> float:
     """tr(M^p) for p in {2, 4} of a symmetric M, from products of its entries.
 
-    tr(M^2) sums the squared entries. For p = 4 each entry M[i, k] meets the
-    entries M[k, j], j >= i, of row k: summed per (i, j), the products give the
-    upper triangle of M^2 row by row (Gustavson's row-wise product), and
-    tr(M^4) sums the squared entries of M^2. Time and memory are
-    O(sum_i (d_i + 1)^2); no degree or common-neighbour formula is used.
+    tr(M^2) sums the squared entries. tr(M^4) is fourth_power_traces((m,)):
+    Gustavson's row-wise product forms M^2 a block of rows at a time, so memory
+    is O(block + nnz(M^2)); to get tr(M^4) of several matrices of one pattern,
+    call fourth_power_traces on all of them, which does the symbolic work once.
     """
     if p == 2:
         return float(np.sum(m.val * m.val))
     if p != 4:
         raise ValueError(f"p must be 2 or 4, got {p}")
-    n = m.shape[0]
-    # transposing is its own inverse, so sorting the transposed keys finds each (k, i)
-    start = np.argsort(m.col * n + m.row)
-    count = np.cumsum(np.bincount(m.row, minlength=n))[m.col] - start  # up to the end of row k
-    # product t of entry s = (i, k) takes entry pos[t] of row k
-    pos = np.repeat(start - np.cumsum(count) + count, count)
-    pos += np.arange(len(pos))
-    key = m.col[pos]
-    key += np.repeat(m.row * n, count)
-    prod = m.val[pos]
-    del pos
-    prod *= np.repeat(m.val, count)
-    # stable: each entry of M^2 sums its products in ascending k
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    prod = prod[order]
-    del order
-    first = np.ones(len(key), dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    m2 = np.add.reduceat(prod, np.flatnonzero(first))
-    del prod
-    m2 *= m2
-    # only diagonal keys i n + i are multiples of n + 1; the rest count for (j, i) too
-    m2[key[first] % (n + 1) != 0] *= 2.0
-    return float(np.sum(m2))
+    return fourth_power_traces((m,))[0]
+
+
+def tr4_closed(g: Graph, kinds: Sequence[str]) -> list[float]:
+    """tr(M^4) for each kind in kinds, NL ("normalized") or Q ("signless").
+
+    Each trace sums the squared entries of M^2: its diagonal, then twice its
+    off-diagonal entries at the pairs of one shared walk of pair_tables(g), in
+    row-major order. Raises IsolatedVertexError when "normalized" is among the
+    kinds and a vertex has degree 0.
+    """
+    for kind in kinds:
+        if kind not in _SQUARE_ENTRIES:
+            raise _kind_error(kind)
+    if "normalized" in kinds:
+        _require_positive_degrees(g)
+    d = np.diff(g.indptr)
+    terms = [_SQUARE_ENTRIES[kind] for kind in kinds]
+    offs = _off_diagonal_squares(g, d, [off for _, off in terms])
+    diags = [diagonal(g, d) for diagonal, _ in terms]
+    return [_ordered_sum(x * x) + 2.0 * off for x, off in zip(diags, offs)]
 
 
 def tr2_normalized_closed(g: Graph) -> float:
@@ -266,17 +361,7 @@ def tr4_normalized_closed(g: Graph) -> float:
     Every sum runs in ascending vertex order, so the result is bit-identical
     to summing over all pairs in row-major order.
     """
-    _require_positive_degrees(g)
-    n, col = g.n, g.indices
-    d, row = np.diff(g.indptr), _csr_rows(g)
-    # bincount adds in array order: each diagonal entry starts at 1.0
-    diag = np.bincount(
-        np.concatenate((np.arange(n), row)),
-        weights=np.concatenate((np.ones(n), 1.0 / (d[row] * d[col]))),
-        minlength=n,
-    )
-    off = _off_diagonal_squares(g, d, _normalized_off_diagonal)
-    return _ordered_sum(diag * diag) + 2.0 * off
+    return tr4_closed(g, ("normalized",))[0]
 
 
 def tr2_signless_closed(g: Graph) -> float:
@@ -293,7 +378,4 @@ def tr4_signless_closed(g: Graph) -> float:
     with a common neighbour. Summed in row-major order, as a loop over all
     pairs would.
     """
-    d = np.diff(g.indptr)
-    diag = (d * d + d).astype(np.float64)
-    off = _off_diagonal_squares(g, d, _signless_off_diagonal)
-    return _ordered_sum(diag * diag) + 2.0 * off
+    return tr4_closed(g, ("signless",))[0]

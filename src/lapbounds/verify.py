@@ -21,14 +21,14 @@ from lapbounds.graph import Graph, SplitMix64, from_edges, generate_connected_gn
 from lapbounds.matrices import (
     adjacency,
     dense_laplacian,
+    fourth_power_traces,
     laplacian,
     normalized_laplacian,
     signless_laplacian,
     trace_power,
     tr2_normalized_closed,
     tr2_signless_closed,
-    tr4_normalized_closed,
-    tr4_signless_closed,
+    tr4_closed,
 )
 from lapbounds.trace_bounds import (
     kth_graph_bounds,
@@ -93,14 +93,20 @@ class VerificationSuite:
     # ---- per-graph checks -------------------------------------------------
 
     def check_graph(self, g: Graph) -> None:
+        kinds = ("normalized", "signless")
         entries, mats = {}, {}
-        for kind in ("normalized", "signless"):
+        for kind in kinds:
             entries[kind], mats[kind] = dense_laplacian(g, kind)
+        # both matrices share one pattern: one pair walk and one symbolic product
+        nl4, q4 = tr4_closed(g, kinds)
         closed = {
-            "normalized": (tr2_normalized_closed(g), tr4_normalized_closed(g)),
-            "signless": (tr2_signless_closed(g), tr4_signless_closed(g)),
+            "normalized": (tr2_normalized_closed(g), nl4),
+            "signless": (tr2_signless_closed(g), q4),
         }
-        power = {kind: (trace_power(m, 2), trace_power(m, 4)) for kind, m in entries.items()}
+        power4 = fourth_power_traces(list(entries.values()))
+        power = {
+            kind: (trace_power(m, 2), p4) for (kind, m), p4 in zip(entries.items(), power4)
+        }
         self._check_traces(closed, power)
         self._check_matrices(g, mats)
         spectra = self._check_spectra(g, mats, power)

@@ -1,8 +1,15 @@
+import contextlib
+import importlib
+import io
 import json
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lapbounds import cli
 from lapbounds import verify as verify_mod
@@ -21,6 +28,8 @@ from lapbounds.matrices import (
     tr4_signless_closed,
 )
 from tests.conftest import FIXTURES, bit_identity_graphs
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 EX1 = str(FIXTURES / "example1.txt")
 EX2 = str(FIXTURES / "example2.txt")
@@ -270,3 +279,72 @@ def test_run_verify_results_all_named():
     assert "bound-validity" in names
     assert "trace-closed-vs-power" in names
     assert all(r.checks > 0 for r in results)
+
+
+# ---- any edge-list text ------------------------------------------------------
+
+
+_JUNK = ["x", "1.0", "-3", "0", "7", "+2", "1_0", "n=4", "#", "٣", "1e3"]
+
+
+@st.composite
+def _edge_list_texts(draw):
+    """Edge lists with labels up to 30, junk tokens, comments and n= lines.
+
+    Half of them hold a path through 1..n and half carry no noise (junk, n=
+    lines, self-loops, labels above n), so that many parse to a graph with no
+    isolated vertex, which both commands accept.
+    """
+    n = draw(st.integers(1, 30))
+    lines = [f"{i} {i + 1}" for i in range(1, n)] if draw(st.booleans()) else []
+    kinds = ["edge"] * 4 + ["comment", "blank"]
+    if draw(st.booleans()):
+        kinds += ["far edge", "self-loop", "junk", "directive"]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=10)):
+        if kind in ("edge", "far edge"):
+            top = n if kind == "edge" else 30
+            u, v = draw(st.integers(1, top)), draw(st.integers(1, top))
+            line = f"{u} {v}" if u != v else ""
+        elif kind == "self-loop":
+            line = f"{n} {n}"
+        elif kind == "junk":
+            line = " ".join(draw(st.lists(st.sampled_from(_JUNK), min_size=1, max_size=3)))
+        elif kind == "comment":
+            line = "#" + draw(st.text(st.characters(exclude_categories=("Cs",)), max_size=6))
+        elif kind == "directive":
+            line = f"n={draw(st.integers(-1, 32))}"
+        else:
+            line = ""
+        lines.append(line)
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@given(text=_edge_list_texts())
+@settings(max_examples=150, deadline=None)
+def test_cli_exits_0_or_1_on_any_edge_list(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "g.txt"
+    path.write_text(text, encoding="utf-8")
+    for argv in (["traces", "--graph", str(path)], ["report", "--graph", str(path), "--k", "1"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1), (argv[0], text, out.getvalue())
+        if code == 1:
+            assert err.getvalue().startswith("error: "), (argv[0], text, err.getvalue())
+        else:
+            assert out.getvalue() and not err.getvalue()
+
+
+def test_every_traced_cli_function_is_still_there():
+    """perfbench/tracing.py wraps functions where the CLI looks them up."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        tracing = importlib.import_module("tracing")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    missing = [
+        f"{mod}.{attr}"
+        for _, mod, attr, _ in tracing.SITES
+        if not hasattr(importlib.import_module(mod), attr)
+    ]
+    assert missing == []

@@ -10,6 +10,7 @@ from lapbounds import (
     IsolatedVertexError,
     adjacency,
     common_neighbors,
+    fourth_power_traces,
     generate_connected_gnp,
     laplacian,
     laplacian_entries,
@@ -19,6 +20,7 @@ from lapbounds import (
     trace_power,
     tr2_normalized_closed,
     tr2_signless_closed,
+    tr4_closed,
     tr4_normalized_closed,
     tr4_signless_closed,
 )
@@ -26,6 +28,7 @@ from lapbounds.cli import _traces_rows
 from lapbounds.graph import from_edges
 from lapbounds import matrices
 from lapbounds.matrices import (
+    Entries,
     _normalized_off_diagonal,
     _require_positive_degrees,
     _signless_off_diagonal,
@@ -409,6 +412,50 @@ def test_bit_identical_at_any_block_size(monkeypatch, block):
             _assert_same(fn, ref, g)
 
 
+_KIND_ORDERS = [
+    ("normalized",),
+    ("signless",),
+    ("normalized", "signless"),
+    ("signless", "normalized"),
+]
+_REFERENCE_TR4 = {"normalized": _reference_tr4_normalized, "signless": _reference_tr4_signless}
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 30])
+@pytest.mark.parametrize(
+    "g",
+    [
+        ring_with_chords(120, 10, 120),
+        complete_graph(12),
+        star_graph(9),
+        perfect_matching(10),
+        from_edges(1, []),
+        from_edges(9, [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6)]),
+    ],
+    ids=["ring120", "K12", "star9", "matching10", "n1", "isolated"],
+)
+def test_tr4_closed_one_walk_equals_the_pair_loops(monkeypatch, g, block):
+    monkeypatch.setattr(matrices, "_BLOCK_WEDGES", block)
+    for kinds in _KIND_ORDERS:
+        _assert_same(
+            lambda g: tr4_closed(g, kinds), lambda g: [_REFERENCE_TR4[k](g) for k in kinds], g
+        )
+        if min(g.degrees) > 0 or kinds == ("signless",):
+            assert all(type(t) is float for t in tr4_closed(g, kinds))
+
+
+def test_tr4_closed_checks_degrees_only_for_the_normalized_kind():
+    g = from_edges(5, [(1, 2), (2, 3), (1, 3), (3, 4)])
+    assert tr4_closed(g, ("signless",)) == [_reference_tr4_signless(g)]
+    with pytest.raises(IsolatedVertexError) as want:
+        _reference_require_positive_degrees(g)
+    for kinds in [k for k in _KIND_ORDERS if "normalized" in k]:
+        with pytest.raises(IsolatedVertexError, match=f"^{re.escape(str(want.value))}$"):
+            tr4_closed(g, kinds)
+    with pytest.raises(ValueError, match="'adjacency'"):
+        tr4_closed(K3, ("signless", "adjacency"))
+
+
 # ---- the sparse matrix-power route ------------------------------------------
 
 
@@ -446,6 +493,88 @@ def test_sparse_route_matches_dense_products_and_closed_forms(g):
         else:
             assert t2 == pytest.approx(tr2(g), rel=1e-12, abs=0.0)
             assert t4 == pytest.approx(tr4(g), rel=1e-12, abs=0.0)
+
+
+def _reference_trace_power4(m):
+    """The unblocked, one-matrix p = 4 body of trace_power that fourth_power_traces replaced, verbatim."""
+    n = m.shape[0]
+    # transposing is its own inverse, so sorting the transposed keys finds each (k, i)
+    start = np.argsort(m.col * n + m.row)
+    count = np.cumsum(np.bincount(m.row, minlength=n))[m.col] - start  # up to the end of row k
+    # product t of entry s = (i, k) takes entry pos[t] of row k
+    pos = np.repeat(start - np.cumsum(count) + count, count)
+    pos += np.arange(len(pos))
+    key = m.col[pos]
+    key += np.repeat(m.row * n, count)
+    prod = m.val[pos]
+    del pos
+    prod *= np.repeat(m.val, count)
+    # stable: each entry of M^2 sums its products in ascending k
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    prod = prod[order]
+    del order
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    m2 = np.add.reduceat(prod, np.flatnonzero(first))
+    del prod
+    m2 *= m2
+    # only diagonal keys i n + i are multiples of n + 1; the rest count for (j, i) too
+    m2[key[first] % (n + 1) != 0] *= 2.0
+    return float(np.sum(m2))
+
+
+def _adjacency_entries(g):
+    """A as (row, col, val) triples: an isolated vertex leaves its row empty."""
+    a = adjacency(g)
+    row, col = np.nonzero(a)
+    return Entries(row.astype(np.int64), col.astype(np.int64), a[row, col], a.shape)
+
+
+def _power_route_matrices(g):
+    """Every matrix of g the power route takes, NL only when no vertex is isolated."""
+    kinds = ("normalized", "signless") if min(g.degrees) > 0 else ("signless",)
+    return [laplacian_entries(g, kind) for kind in kinds]
+
+
+@pytest.mark.parametrize(
+    "g",
+    _route_graphs()
+    + [star_graph(n) for n in (4, 33, 200)]
+    + [from_edges(12 + s, [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6)][: 2 + s]) for s in range(5)],
+    ids=lambda g: f"n{g.n}e{g.edge_count}",
+)
+def test_fourth_power_traces_bit_identical_to_the_unblocked_product(monkeypatch, g):
+    ms = _power_route_matrices(g)
+    want = [_reference_trace_power4(m) for m in ms]
+    for block in (1, 7, 1 << 30):
+        monkeypatch.setattr(matrices, "_BLOCK_PRODUCTS", block)
+        got = fourth_power_traces(ms)
+        assert all(type(t) is float for t in got)
+        assert got == want
+        assert [fourth_power_traces((m,))[0] for m in ms] == want
+        assert [trace_power(m, 4) for m in ms] == want
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 30])
+def test_fourth_power_traces_with_empty_rows(monkeypatch, block):
+    monkeypatch.setattr(matrices, "_BLOCK_PRODUCTS", block)
+    for g in (from_edges(9, [(2, 3), (3, 4), (2, 4), (6, 7)]), from_edges(3, [])):
+        a = _adjacency_entries(g)
+        dense = adjacency(g)
+        got = fourth_power_traces((a,))[0]
+        assert got == _reference_trace_power4(a)
+        assert got == float(np.trace(np.linalg.matrix_power(dense, 4)))
+
+
+def test_fourth_power_traces_rejects_mismatched_patterns():
+    k3, p3 = laplacian_entries(K3, "signless"), laplacian_entries(P3, "signless")
+    with pytest.raises(ValueError, match="one sparsity pattern"):
+        fourth_power_traces((k3, p3))
+    wider = k3._replace(shape=(4, 4))
+    with pytest.raises(ValueError, match="one sparsity pattern"):
+        fourth_power_traces((k3, wider))
+    assert fourth_power_traces((k3, k3._replace(val=2.0 * k3.val))) == [258.0, 16 * 258.0]
 
 
 def test_traces_rows_allocate_less_than_one_dense_matrix():
