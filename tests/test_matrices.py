@@ -496,7 +496,10 @@ def test_sparse_route_matches_dense_products_and_closed_forms(g):
 
 
 def _reference_trace_power4(m):
-    """The unblocked, one-matrix p = 4 body of trace_power that fourth_power_traces replaced, verbatim."""
+    """The unblocked one-matrix p = 4 body of trace_power, verbatim.
+
+    fourth_power_traces replaced it.
+    """
     n = m.shape[0]
     # transposing is its own inverse, so sorting the transposed keys finds each (k, i)
     start = np.argsort(m.col * n + m.row)
